@@ -44,15 +44,17 @@ let size g = Array.length g.g_nodes
 
 (* The payload is pure data (ints, arrays, strings), so [Marshal] is
    safe; the magic line keeps foreign blobs out of [from_string], and
-   the framing digest of [Store.Session] guards the bytes themselves. *)
-let encode g = magic ^ Marshal.to_string g []
+   the framing digest of [Store.Session] guards the bytes themselves.
+   The blob is handed over in two parts so the multi-MB [Marshal]
+   output is never copied just to prepend the magic. *)
+let encode g = [ magic; Marshal.to_string g [] ]
 
-let decode s =
+let decode ?(pos = 0) s =
   let ml = String.length magic in
-  if String.length s < ml || String.sub s 0 ml <> magic then
+  if pos < 0 || String.length s - pos < ml || String.sub s pos ml <> magic then
     Error "not a psv incremental graph"
   else
-    match (Marshal.from_string s ml : graph) with
+    match (Marshal.from_string s (pos + ml) : graph) with
     | g when g.g_version = version -> Ok g
     | g -> Error (Printf.sprintf "graph version %d (this build reads %d)" g.g_version version)
     | exception _ -> Error "undecodable graph blob"

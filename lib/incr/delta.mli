@@ -31,11 +31,15 @@ type graph
 (** Number of recorded (expanded) states. *)
 val size : graph -> int
 
-(** Binary encoding for persistence; {!decode} rejects foreign or
-    version-skewed blobs by magic, never by crashing. *)
-val encode : graph -> string
+(** Binary encoding for persistence: the blob is the concatenation of
+    the returned parts (see {!Store.Session.save_graph}).  {!decode}
+    rejects foreign or version-skewed blobs by magic, never by
+    crashing. *)
+val encode : graph -> string list
 
-val decode : string -> (graph, string) result
+(** [decode ?pos s] decodes the blob occupying [s] from [pos] (default
+    0) to its end. *)
+val decode : ?pos:int -> string -> (graph, string) result
 
 type run = {
   dr_result : Mc.Query.result;

@@ -52,7 +52,9 @@ let prev_of_disk t qtext =
        | Error _ -> None
        | Ok old_net -> (
          match
-           Option.map Delta.decode (Store.Session.load_graph disk skey)
+           Option.map
+             (fun (raw, pos) -> Delta.decode ~pos raw)
+             (Store.Session.load_graph disk skey)
          with
          | Some (Ok graph) -> (
            (* The result itself lives in the ordinary store under the

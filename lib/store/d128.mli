@@ -12,7 +12,8 @@
     collisions and bit rot, not adversaries.  It is deterministic across
     runs, platforms and OCaml versions (no [Hashtbl.hash], no
     [Marshal] in the input path), which is what lets one store serve
-    many processes over time. *)
+    many processes over time.  It allocates nothing per byte, so a
+    multi-MB blob (a persisted zone graph) costs CPU time only. *)
 
 type t = { hi : int64; lo : int64 }
 
@@ -48,5 +49,12 @@ val add_int_array : builder -> int array -> unit
     reflects everything added so far. *)
 val value : builder -> t
 
-(** One-shot digest of a string. *)
+(** One-shot digest of a string: [add_string] on a fresh builder. *)
 val of_string : string -> t
+
+(** [of_string (String.sub s off len)], computed in place; raises
+    [Invalid_argument] if the range is not within [s]. *)
+val of_substring : string -> int -> int -> t
+
+(** [of_string (String.concat "" parts)], without the concatenation. *)
+val of_strings : string list -> t

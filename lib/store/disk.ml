@@ -12,7 +12,7 @@ let tmp_counter = Atomic.make 0
 let dir t = t.dir
 let marker_path dir = Filename.concat dir marker
 let entry_name key = D128.to_hex key ^ ".psve"
-let entry_path t key = Filename.concat t.dir (entry_name key)
+let path t name = Filename.concat t.dir name
 
 let is_store dir = Sys.file_exists (marker_path dir)
 
@@ -62,88 +62,26 @@ type lookup =
   | Corrupt of string
   | Unavailable of string
 
-(* Parse one entry file body. The digest and length lines guard the
-   payload: both are checked before the JSON parser runs, so truncation
-   and bit rot surface as [Error] here, not as a parse crash. *)
-let decode_entry raw =
-  let ( let* ) = Result.bind in
-  let line_end from =
-    match String.index_from_opt raw from '\n' with
-    | Some i -> Ok i
-    | None -> Error "truncated header"
-  in
-  let* e1 = line_end 0 in
-  let magic = String.sub raw 0 e1 in
-  let* () =
-    if magic = version then Ok ()
-    else if String.length magic >= 8 && String.sub magic 0 8 = "PSVSTORE" then
-      Error (Printf.sprintf "entry version %S (this build reads %S)" magic version)
-    else Error "not a psv store entry"
-  in
-  let* e2 = line_end (e1 + 1) in
-  let digest_hex = String.sub raw (e1 + 1) (e2 - e1 - 1) in
-  let* digest =
-    match D128.of_hex digest_hex with
-    | Some d -> Ok d
-    | None -> Error "bad payload digest line"
-  in
-  let* e3 = line_end (e2 + 1) in
-  let* len =
-    match int_of_string_opt (String.sub raw (e2 + 1) (e3 - e2 - 1)) with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error "bad payload length line"
-  in
-  let body_start = e3 + 1 in
-  let* () =
-    if String.length raw - body_start = len then Ok ()
-    else Error "payload length mismatch (truncated entry?)"
-  in
-  let payload = String.sub raw body_start len in
-  let* () =
-    if D128.equal (D128.of_string payload) digest then Ok ()
-    else Error "payload digest mismatch"
-  in
-  let* json = Json.parse payload in
-  Entry.of_json json
+(* --- named files in the store directory ------------------------------- *)
 
-(* I/O-level failure (retries exhausted) is [Unavailable] — the device
-   or directory is sick, and the cache layer's circuit breaker feeds on
-   it.  A readable file with bad content is [Corrupt] — the host is
-   fine, the data is not, so it does not count against the breaker. *)
-let read_entry t path =
-  match read_file t path with
-  | raw -> (
-    match decode_entry raw with
-    | Ok e -> Hit e
-    | Error msg -> Corrupt msg)
-  | exception Sys_error msg -> Unavailable msg
+let exists t name = t.io.Fault.Io.file_exists (path t name)
+
+let read t name =
+  match read_file t (path t name) with
+  | raw -> Ok raw
+  | exception Sys_error msg -> Error msg
   | exception Unix.Unix_error (e, op, _) ->
-    Unavailable (Printf.sprintf "%s: %s" op (Unix.error_message e))
+    Error (Printf.sprintf "%s: %s" op (Unix.error_message e))
 
-let lookup t key =
-  let path = entry_path t key in
-  if not (t.io.Fault.Io.file_exists path) then Miss
-  else
-    match read_entry t path with
-    | Hit e when not (D128.equal e.Entry.en_key key) ->
-      Corrupt "entry key does not match file name"
-    | r -> r
-
-let encode_entry entry =
-  let payload = Json.to_string (Entry.to_json entry) in
-  Printf.sprintf "%s\n%s\n%d\n%s" version
-    (D128.to_hex (D128.of_string payload))
-    (String.length payload) payload
-
-let insert t entry =
+let publish t name content =
   let tmp =
-    Filename.concat t.dir
+    path t
       (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
          (Atomic.fetch_and_add tmp_counter 1))
   in
   match
-    write_file t tmp (encode_entry entry);
-    rename t tmp (entry_path t entry.Entry.en_key)
+    write_file t tmp content;
+    rename t tmp (path t name)
   with
   | () -> ()
   | exception exn ->
@@ -152,14 +90,92 @@ let insert t entry =
     (try t.io.Fault.Io.remove tmp with _ -> ());
     raise exn
 
-let remove t key =
-  try t.io.Fault.Io.remove (entry_path t key) with
-  | Sys_error _ | Unix.Unix_error _ -> ()
+let delete t name =
+  match t.io.Fault.Io.remove (path t name) with
+  | () -> true
+  | exception (Sys_error _ | Unix.Unix_error _) -> false
 
-let entry_files t =
+let files t suffix =
   t.io.Fault.Io.readdir t.dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".psve")
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
   |> List.sort String.compare
+
+(* --- framing, shared by entries and session files ----------------------- *)
+
+(* The payload is digested in place and copied once, into the file. *)
+let frame magic parts =
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let digest = D128.to_hex (D128.of_strings parts) in
+  String.concat "" (Printf.sprintf "%s\n%s\n%d\n" magic digest len :: parts)
+
+(* The length line and the digest guard the payload and are checked
+   before anything interprets it, so truncation and bit rot surface as
+   [Error], never as a parse crash (or, for graph blobs, a [Marshal]
+   segfault). *)
+let unframe ?(bad_magic = fun _ -> "bad magic") magic raw =
+  let ( let* ) = Result.bind in
+  let line from =
+    match String.index_from_opt raw from '\n' with
+    | Some i -> Ok (String.sub raw from (i - from), i + 1)
+    | None -> Error "truncated header"
+  in
+  let* m, p = line 0 in
+  let* () = if m = magic then Ok () else Error (bad_magic m) in
+  let* d, p = line p in
+  let* digest = Option.to_result ~none:"bad payload digest line" (D128.of_hex d) in
+  let* l, pos = line p in
+  let* len =
+    match int_of_string_opt l with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error "bad payload length line"
+  in
+  if String.length raw - pos <> len then Error "payload length mismatch (truncated?)"
+  else if D128.equal (D128.of_substring raw pos len) digest then Ok pos
+  else Error "payload digest mismatch"
+
+let payload raw pos = String.sub raw pos (String.length raw - pos)
+
+(* --- entries -------------------------------------------------------------- *)
+
+let entry_bad_magic line =
+  if String.length line >= 8 && String.sub line 0 8 = marker then
+    Printf.sprintf "entry version %S (this build reads %S)" line version
+  else "not a psv store entry"
+
+(* I/O-level failure (retries exhausted) is [Unavailable] — the device
+   or directory is sick, and the cache layer's circuit breaker feeds on
+   it.  A readable file with bad content is [Corrupt] — the host is
+   fine, the data is not, so it does not count against the breaker. *)
+let read_entry t name =
+  match read t name with
+  | Error msg -> Unavailable msg
+  | Ok raw -> (
+    let ( let* ) = Result.bind in
+    match
+      let* pos = unframe ~bad_magic:entry_bad_magic version raw in
+      let* json = Json.parse (payload raw pos) in
+      Entry.of_json json
+    with
+    | Ok e -> Hit e
+    | Error msg -> Corrupt msg)
+
+let lookup t key =
+  let name = entry_name key in
+  if not (exists t name) then Miss
+  else
+    match read_entry t name with
+    | Hit e when not (D128.equal e.Entry.en_key key) ->
+      Corrupt "entry key does not match file name"
+    | r -> r
+
+let insert t entry =
+  publish t
+    (entry_name entry.Entry.en_key)
+    (frame version [ Json.to_string (Entry.to_json entry) ])
+
+let remove t key = ignore (delete t (entry_name key))
+
+let entry_files t = files t ".psve"
 
 (* [.tmp.<pid>.<n>] files belong to a live writer mid-publish or to a
    writer that died between write and rename.  Liveness is decided by
@@ -188,7 +204,7 @@ let default_warn msg = Printf.eprintf "psv: store: warning: %s\n%!" msg
 let fold ?(warn = default_warn) t ~init ~f =
   List.fold_left
     (fun acc file ->
-      match read_entry t (Filename.concat t.dir file) with
+      match read_entry t file with
       | Hit e -> f acc e
       | Miss -> acc
       | Corrupt msg | Unavailable msg ->
@@ -206,9 +222,8 @@ type stats = {
 let stats t =
   List.fold_left
     (fun acc file ->
-      let path = Filename.concat t.dir file in
-      let bytes = t.io.Fault.Io.file_size path in
-      match read_entry t path with
+      let bytes = t.io.Fault.Io.file_size (path t file) in
+      match read_entry t file with
       | Hit _ ->
         { acc with st_entries = acc.st_entries + 1; st_bytes = acc.st_bytes + bytes }
       | Miss | Corrupt _ | Unavailable _ ->
@@ -222,18 +237,12 @@ let gc t =
   let removed = ref 0 in
   Array.iter
     (fun file ->
-      let path = Filename.concat t.dir file in
       let orphan_tmp = is_tmp file && not (tmp_owner_alive file) in
       let corrupt =
         Filename.check_suffix file ".psve"
-        && match read_entry t path with Corrupt _ -> true | _ -> false
+        && match read_entry t file with Corrupt _ -> true | _ -> false
       in
-      if orphan_tmp || corrupt then begin
-        try
-          t.io.Fault.Io.remove path;
-          incr removed
-        with Sys_error _ | Unix.Unix_error _ -> ()
-      end)
+      if (orphan_tmp || corrupt) && delete t file then incr removed)
     (t.io.Fault.Io.readdir t.dir);
   !removed
 
@@ -247,7 +256,7 @@ let fsck t =
   let report =
     List.fold_left
       (fun acc file ->
-        match read_entry t (Filename.concat t.dir file) with
+        match read_entry t file with
         | Hit e ->
           if entry_name e.Entry.en_key = file then { acc with fk_ok = acc.fk_ok + 1 }
           else

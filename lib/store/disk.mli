@@ -76,6 +76,41 @@ val insert : t -> Entry.t -> unit
 (** [remove t key] deletes the entry for [key] if present. *)
 val remove : t -> D128.t -> unit
 
+(** {1 Framing and named files}
+
+    Every file the store writes — entries here, sessions and graph
+    blobs in {!Session} — has the entry format's frame (magic line,
+    payload digest, payload length, payload), and is read and published
+    by name through the store's {!Fault.Io.t} and retry policy. *)
+
+(** [frame magic parts] frames the concatenation of [parts], digesting
+    them in place and copying them once, into the result. *)
+val frame : string -> string list -> string
+
+(** [unframe ?bad_magic magic raw] checks magic, length and payload
+    digest (in place) and returns the payload's offset; the payload
+    runs to the end of [raw].  [bad_magic] words the error for a
+    foreign magic line (default ["bad magic"]). *)
+val unframe :
+  ?bad_magic:(string -> string) -> string -> string -> (int, string) result
+
+(** [payload raw pos] copies a checked payload out. *)
+val payload : string -> int -> string
+
+val exists : t -> string -> bool
+
+(** [Error] carries the host's complaint once retries are exhausted. *)
+val read : t -> string -> (string, string) result
+
+(** Atomic replace by tmp write plus rename; raises like {!insert}. *)
+val publish : t -> string -> string -> unit
+
+(** Best-effort removal; [true] iff the file was removed. *)
+val delete : t -> string -> bool
+
+(** File names with the given suffix, sorted. *)
+val files : t -> string -> string list
+
 (** Folds over all well-formed entries; ill-formed files are passed to
     [warn] (default: a [Logs]-style line on stderr) and skipped. *)
 val fold :

@@ -19,75 +19,6 @@ let session_key ~tag ~query =
 
 let sess_name key = D128.to_hex key ^ ".psvs"
 let graph_name key = D128.to_hex key ^ ".psvg"
-let path disk name = Filename.concat (Disk.dir disk) name
-
-(* Same framing as PSVSTORE1 entries: magic, payload digest, payload
-   length, payload.  The digest is verified before the payload is
-   interpreted, so truncation and bit rot surface as [Error], never as
-   a parse crash (or, for graphs, a [Marshal] segfault). *)
-let frame magic payload =
-  Printf.sprintf "%s\n%s\n%d\n%s" magic
-    (D128.to_hex (D128.of_string payload))
-    (String.length payload) payload
-
-let unframe magic raw =
-  let ( let* ) = Result.bind in
-  let line_end from =
-    match String.index_from_opt raw from '\n' with
-    | Some i -> Ok i
-    | None -> Error "truncated header"
-  in
-  let* e1 = line_end 0 in
-  let* () =
-    if String.sub raw 0 e1 = magic then Ok () else Error "bad magic"
-  in
-  let* e2 = line_end (e1 + 1) in
-  let* digest =
-    match D128.of_hex (String.sub raw (e1 + 1) (e2 - e1 - 1)) with
-    | Some d -> Ok d
-    | None -> Error "bad payload digest line"
-  in
-  let* e3 = line_end (e2 + 1) in
-  let* len =
-    match int_of_string_opt (String.sub raw (e2 + 1) (e3 - e2 - 1)) with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error "bad payload length line"
-  in
-  let body_start = e3 + 1 in
-  let* () =
-    if String.length raw - body_start = len then Ok ()
-    else Error "payload length mismatch (truncated?)"
-  in
-  let payload = String.sub raw body_start len in
-  if D128.equal (D128.of_string payload) digest then Ok payload
-  else Error "payload digest mismatch"
-
-let read_raw p =
-  let ic = open_in_bin p in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Atomic publish via tmp + rename, mirroring [Disk.insert]. *)
-let tmp_counter = Atomic.make 0
-
-let write_raw disk name content =
-  let tmp =
-    Filename.concat (Disk.dir disk)
-      (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_counter 1))
-  in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
-    Unix.rename tmp (path disk name)
-  with
-  | () -> ()
-  | exception exn ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise exn
 
 let manifest_to_json (m : Key.manifest) =
   Json.Obj
@@ -158,49 +89,34 @@ let of_json j =
   Ok { ss_tag; ss_query; ss_net; ss_result_key; ss_manifest }
 
 let save disk s =
-  write_raw disk
+  Disk.publish disk
     (sess_name (session_key ~tag:s.ss_tag ~query:s.ss_query))
-    (frame magic_sess (Json.to_string (to_json s)))
+    (Disk.frame magic_sess [ Json.to_string (to_json s) ])
+
+let parse_session raw =
+  let ( let* ) = Result.bind in
+  let* pos = Disk.unframe magic_sess raw in
+  let* json = Json.parse (Disk.payload raw pos) in
+  of_json json
 
 let load disk key =
-  let p = path disk (sess_name key) in
-  if not (Sys.file_exists p) then Error "no session"
-  else
-    match read_raw p with
-    | exception (Sys_error msg) -> Error msg
-    | raw ->
-      let ( let* ) = Result.bind in
-      let* payload = unframe magic_sess raw in
-      let* json = Json.parse payload in
-      of_json json
+  let name = sess_name key in
+  if not (Disk.exists disk name) then Error "no session"
+  else Result.bind (Disk.read disk name) parse_session
 
-let save_graph disk key blob =
-  write_raw disk (graph_name key) (frame magic_graph blob)
+let save_graph disk key parts =
+  Disk.publish disk (graph_name key) (Disk.frame magic_graph parts)
 
 let load_graph disk key =
-  let p = path disk (graph_name key) in
-  if not (Sys.file_exists p) then None
+  let name = graph_name key in
+  if not (Disk.exists disk name) then None
   else
-    match read_raw p with
-    | exception (Sys_error _) -> None
-    | raw -> (
-      match unframe magic_graph raw with
-      | Ok payload -> Some payload
-      | Error _ -> None)
-
-let remove disk key =
-  List.iter
-    (fun name ->
-      try Sys.remove (path disk name) with Sys_error _ -> ())
-    [ sess_name key; graph_name key ]
+    Result.to_option
+      (Result.bind (Disk.read disk name) (fun raw ->
+           Result.map (fun pos -> (raw, pos)) (Disk.unframe magic_graph raw)))
 
 let files disk suffix =
-  match Sys.readdir (Disk.dir disk) with
-  | exception Sys_error _ -> []
-  | arr ->
-    Array.to_list arr
-    |> List.filter (fun f -> Filename.check_suffix f suffix)
-    |> List.sort String.compare
+  try Disk.files disk suffix with Sys_error _ | Unix.Unix_error _ -> []
 
 let list disk = files disk ".psvs"
 
@@ -216,14 +132,8 @@ type fsck = {
    even when the framing digest is internally consistent. *)
 let check_session disk file =
   let ( let* ) = Result.bind in
-  let* raw =
-    match read_raw (path disk file) with
-    | raw -> Ok raw
-    | exception (Sys_error msg) -> Error msg
-  in
-  let* payload = unframe magic_sess raw in
-  let* json = Json.parse payload in
-  let* s = of_json json in
+  let* raw = Disk.read disk file in
+  let* s = parse_session raw in
   let* () =
     if sess_name (session_key ~tag:s.ss_tag ~query:s.ss_query) = file then Ok ()
     else Error "session key does not match file name"
@@ -237,29 +147,22 @@ let check_session disk file =
   else Error "manifest does not match recomputed per-automaton digests"
 
 let check_graph disk file =
-  match read_raw (path disk file) with
-  | exception (Sys_error msg) -> Error msg
-  | raw -> Result.map (fun _ -> ()) (unframe magic_graph raw)
+  Result.bind (Disk.read disk file) (fun raw ->
+      Result.map ignore (Disk.unframe magic_graph raw))
 
 let fsck disk =
-  let acc =
+  let scan suffix check ok acc =
     List.fold_left
       (fun acc file ->
-        match check_session disk file with
-        | Ok () -> { acc with sk_ok = acc.sk_ok + 1 }
+        match check disk file with
+        | Ok () -> ok acc
         | Error msg -> { acc with sk_bad = (file, msg) :: acc.sk_bad })
-      { sk_ok = 0; sk_bad = []; sk_graphs = 0 }
-      (list disk)
+      acc (files disk suffix)
   in
-  let acc =
-    List.fold_left
-      (fun acc file ->
-        match check_graph disk file with
-        | Ok () -> { acc with sk_graphs = acc.sk_graphs + 1 }
-        | Error msg -> { acc with sk_bad = (file, msg) :: acc.sk_bad })
-      acc (files disk ".psvg")
-  in
-  { acc with sk_bad = List.rev acc.sk_bad }
+  { sk_ok = 0; sk_bad = []; sk_graphs = 0 }
+  |> scan ".psvs" check_session (fun a -> { a with sk_ok = a.sk_ok + 1 })
+  |> scan ".psvg" check_graph (fun a -> { a with sk_graphs = a.sk_graphs + 1 })
+  |> fun acc -> { acc with sk_bad = List.rev acc.sk_bad }
 
 let gc disk =
   let removed = ref 0 in
@@ -268,11 +171,7 @@ let gc disk =
       (fun file ->
         match check disk file with
         | Ok () -> ()
-        | Error _ -> (
-          try
-            Sys.remove (path disk file);
-            incr removed
-          with Sys_error _ -> ()))
+        | Error _ -> if Disk.delete disk file then incr removed)
       (files disk suffix)
   in
   sweep ".psvs" check_session;

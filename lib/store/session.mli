@@ -15,6 +15,9 @@
       checked {e before} unmarshalling, so bit rot never reaches
       [Marshal.from_string].
 
+    Both are read and published (tmp write plus rename) through the
+    store's {!Fault.Io.t} and retry policy, like entries.
+
     Sessions are best-effort by design: a missing or corrupt session
     file merely costs a full re-exploration, never a wrong answer.  The
     graph blob is opaque to this module — the incremental layer owns
@@ -39,13 +42,16 @@ val save : Disk.t -> t -> unit
 val load : Disk.t -> D128.t -> (t, string) result
 
 (** The graph blob rides under the same key in a separate [.psvg]
-    file; [save_graph] overwrites, [load_graph] is [None] when absent
-    or corrupt. *)
-val save_graph : Disk.t -> D128.t -> string -> unit
+    file.  [save_graph disk key parts] overwrites it with the blob
+    [String.concat "" parts], framed without building that
+    concatenation first. *)
+val save_graph : Disk.t -> D128.t -> string list -> unit
 
-val load_graph : Disk.t -> D128.t -> string option
-
-val remove : Disk.t -> D128.t -> unit
+(** [Some (raw, pos)]: the digest-checked blob is the suffix of the
+    file contents [raw] starting at [pos], handed over in place so a
+    multi-MB blob is not copied before it is decoded.  [None] when
+    absent, unreadable or corrupt. *)
+val load_graph : Disk.t -> D128.t -> (string * int) option
 
 (** Session-file names ([.psvs]) present in the store, sorted. *)
 val list : Disk.t -> string list

@@ -334,13 +334,19 @@ let test_delta_fallback_triggers () =
 let test_graph_codec () =
   let q = query "A[] v == 0" in
   let run = Incr.Delta.record toy_net q in
-  let blob = Incr.Delta.encode run.Incr.Delta.dr_graph in
+  let blob = String.concat "" (Incr.Delta.encode run.Incr.Delta.dr_graph) in
   (match Incr.Delta.decode blob with
    | Ok g ->
      Alcotest.(check int) "size round-trips"
        (Incr.Delta.size run.Incr.Delta.dr_graph)
        (Incr.Delta.size g)
    | Error msg -> Alcotest.failf "decode failed: %s" msg);
+  (match Incr.Delta.decode ~pos:3 ("xyz" ^ blob) with
+   | Ok g ->
+     Alcotest.(check int) "decodes at an offset"
+       (Incr.Delta.size run.Incr.Delta.dr_graph)
+       (Incr.Delta.size g)
+   | Error msg -> Alcotest.failf "decode at offset failed: %s" msg);
   (match Incr.Delta.decode "garbage" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "decoded garbage")
@@ -485,6 +491,103 @@ let test_session_fsck_catches_corruption () =
       Alcotest.(check (list (pair string string))) "clean after gc" []
         fsck'.Store.Session.sk_bad)
 
+(* A damaged graph blob (one flipped payload byte, or a truncation) must
+   never reach [Marshal]: loading it yields nothing, a fresh session
+   falls back to the full rung with scratch-identical stats, fsck names
+   the file and gc removes it. *)
+let test_session_graph_corruption () =
+  let flip raw =
+    let b = Bytes.of_string raw and i = String.length raw / 2 in
+    Bytes.set b i (Char.chr (Char.code raw.[i] lxor 0x01));
+    Bytes.to_string b
+  and truncate raw = String.sub raw 0 (String.length raw / 2) in
+  List.iter
+    (fun (label, damage) ->
+      with_store_dir (fun dir ->
+          let disk =
+            match Store.Disk.open_ dir with
+            | Ok d -> d
+            | Error msg -> Alcotest.failf "open store: %s" msg
+          in
+          let cache = Analysis.Qcache.make disk in
+          let q = query "A[] v == 0" in
+          let _ = Incr.Session.run (Incr.Session.make ~cache ~tag:"graph" ()) toy_net q in
+          let file =
+            match
+              List.filter
+                (fun f -> Filename.check_suffix f ".psvg")
+                (Array.to_list (Sys.readdir dir))
+            with
+            | [ f ] -> f
+            | fs -> Alcotest.failf "%s: %d graph files" label (List.length fs)
+          in
+          let path = Filename.concat dir file in
+          let corrupt () =
+            let raw = In_channel.with_open_bin path In_channel.input_all in
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc (damage raw))
+          in
+          let key = Option.get (Store.D128.of_hex (Filename.chop_suffix file ".psvg")) in
+          corrupt ();
+          Alcotest.(check bool) (label ^ ": load_graph refuses") true
+            (Store.Session.load_graph disk key = None);
+          let edited = with_automaton toy_net "Sender" sender_tweaked in
+          let o = Incr.Session.run (Incr.Session.make ~cache ~tag:"graph" ()) edited q in
+          Alcotest.(check string) (label ^ ": falls back to full") "full"
+            (Incr.Session.rung_name o.Incr.Session.so_rung);
+          check_scratch_equal (label ^ ": full result") edited q o.Incr.Session.so_result;
+          (* that run republished a good graph; damage it again *)
+          corrupt ();
+          let fsck = Store.Session.fsck disk in
+          Alcotest.(check (list string)) (label ^ ": fsck names the graph") [ file ]
+            (List.map fst fsck.Store.Session.sk_bad);
+          Alcotest.(check int) (label ^ ": gc removes it") 1 (Store.Session.gc disk);
+          Alcotest.(check bool) (label ^ ": file gone") false (Sys.file_exists path)))
+    [ ("flipped byte", flip); ("truncated", truncate) ]
+
+(* Session files are published through the store's injectable I/O like
+   entries are, so a sick host fails them the same way — and persistence
+   stays best-effort: the answer still comes back and no temp file is
+   left behind. *)
+let test_session_files_through_store_io () =
+  with_store_dir (fun dir ->
+      let published = ref [] and sick = ref false in
+      let real = Fault.Io.real in
+      let io =
+        { real with
+          Fault.Io.write_file =
+            (fun path content ->
+              real.Fault.Io.write_file path content;
+              (* a detected partial write: the temp file exists *)
+              if !sick then raise (Unix.Unix_error (Unix.EIO, "write", path)));
+          rename =
+            (fun src dst ->
+              published := Filename.basename dst :: !published;
+              real.Fault.Io.rename src dst) }
+      in
+      let disk =
+        match Store.Disk.open_ ~io ~retry:Fault.Retry.no_retry dir with
+        | Ok d -> d
+        | Error msg -> Alcotest.failf "open store: %s" msg
+      in
+      let cache = Analysis.Qcache.make ~warn:ignore disk in
+      let q = query "A[] v == 0" in
+      let _ = Incr.Session.run (Incr.Session.make ~cache ~tag:"io" ()) toy_net q in
+      List.iter
+        (fun suffix ->
+          Alcotest.(check bool) (suffix ^ " published through the store io") true
+            (List.exists (fun f -> Filename.check_suffix f suffix) !published))
+        [ ".psve"; ".psvs"; ".psvg" ];
+      sick := true;
+      let edited = with_automaton toy_net "Sender" sender_tweaked in
+      let o = Incr.Session.run (Incr.Session.make ~cache ~tag:"io" ()) edited q in
+      check_scratch_equal "answer despite failing writes" edited q
+        o.Incr.Session.so_result;
+      Alcotest.(check (list string)) "no temp files left" []
+        (List.filter
+           (String.starts_with ~prefix:".tmp")
+           (Array.to_list (Sys.readdir dir))))
+
 (* --- disk stats corrupt-bytes split ------------------------------------ *)
 
 let test_stats_corrupt_bytes () =
@@ -547,4 +650,8 @@ let suite =
     Alcotest.test_case "session persistence" `Quick test_session_persistence;
     Alcotest.test_case "session fsck" `Quick
       test_session_fsck_catches_corruption;
+    Alcotest.test_case "session graph corruption" `Quick
+      test_session_graph_corruption;
+    Alcotest.test_case "session files through store io" `Quick
+      test_session_files_through_store_io;
     Alcotest.test_case "stats corrupt bytes" `Quick test_stats_corrupt_bytes ]

@@ -56,6 +56,56 @@ let test_d128_sensitivity () =
   Alcotest.(check bool) "content-sensitive" false
     (Store.D128.equal (digest [ "a" ]) (digest [ "b" ]))
 
+(* Digest values pinned from the original per-byte implementation: every
+   key, entry digest and snapshot fingerprint on disk depends on these
+   exact bits, so a rewrite of the hash loop must reproduce them. *)
+let test_d128_golden () =
+  let check label hex d = Alcotest.(check string) label hex (Store.D128.to_hex d) in
+  check "empty" "a0971191a0cc277c4048d136ee8402da" (Store.D128.of_string "");
+  check "hello" "e0bab4dbc02c67fc1a1cc4d1eb76a334" (Store.D128.of_string "hello");
+  let st = Store.D128.builder () in
+  Store.D128.add_string st "psv-key-v1";
+  Store.D128.add_int st (-1);
+  Store.D128.add_int64 st 0x8000000000000000L;
+  Store.D128.add_bool st true;
+  Store.D128.add_char st 'z';
+  Store.D128.add_int_array st [| 0; 1; max_int; min_int |];
+  check "builder stream" "f8558cbc323c5ab5874622ccd21874a5" (Store.D128.value st);
+  let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  check "1 MiB" "5eaf0bb2bed46762386ce8b035edf3e6" (Store.D128.of_string mib)
+
+let test_d128_in_place () =
+  let s = "--payload bytes--" in
+  let d = Store.D128.of_string "payload bytes" in
+  Alcotest.(check bool) "of_substring = of_string of the copy" true
+    (Store.D128.equal d (Store.D128.of_substring s 2 13));
+  Alcotest.(check bool) "of_strings = of_string of the concatenation" true
+    (Store.D128.equal d (Store.D128.of_strings [ "pay"; ""; "load b"; "ytes" ]));
+  Alcotest.check_raises "range outside the string"
+    (Invalid_argument "D128.of_substring") (fun () ->
+      ignore (Store.D128.of_substring s 10 8))
+
+(* One frame for every store file: a framed payload round-trips at the
+   returned offset; a bad magic, a short file and a flipped payload byte
+   are errors, never exceptions. *)
+let test_frame () =
+  let raw = Store.Disk.frame "MAGIC1" [ "hello, "; "world" ] in
+  (match Store.Disk.unframe "MAGIC1" raw with
+   | Ok pos ->
+     Alcotest.(check string) "payload" "hello, world" (Store.Disk.payload raw pos)
+   | Error msg -> Alcotest.failf "own frame rejected: %s" msg);
+  let expect_error label want raw =
+    match Store.Disk.unframe "MAGIC1" raw with
+    | Error msg -> Alcotest.(check string) label want msg
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+  in
+  expect_error "foreign magic" "bad magic" (Store.Disk.frame "OTHER1" [ "x" ]);
+  expect_error "truncated" "payload length mismatch (truncated?)"
+    (String.sub raw 0 (String.length raw - 1));
+  expect_error "flipped payload byte" "payload digest mismatch"
+    (String.mapi (fun i c -> if i = String.length raw - 1 then 'D' else c) raw);
+  expect_error "no header" "truncated header" "MAGIC1"
+
 (* --- Json ---------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -602,6 +652,9 @@ let test_old_snapshot_version () =
 let suite =
   [ Alcotest.test_case "d128 hex round-trip" `Quick test_d128_hex;
     Alcotest.test_case "d128 sensitivity" `Quick test_d128_sensitivity;
+    Alcotest.test_case "d128 golden vectors" `Quick test_d128_golden;
+    Alcotest.test_case "d128 in place" `Quick test_d128_in_place;
+    Alcotest.test_case "frame round-trip" `Quick test_frame;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "query to_string round-trip" `Quick
