@@ -30,7 +30,6 @@ let disk t = t.disk
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 let errors t = Atomic.get t.errors
-let breaker t = t.breaker
 let degraded t = Fault.Breaker.tripped t.breaker
 
 (* Ladder-rung counters of the incremental layer ([Incr.Session]); the
@@ -186,11 +185,21 @@ let stats_of_entry s =
 
 let tool = "psv/1.0.0"
 
-let provenance ~jobs ~wall_ms =
-  { Store.Entry.pv_tool = tool;
-    pv_jobs = jobs;
-    pv_wall_ms = wall_ms;
-    pv_created = Unix.gettimeofday () }
+let entry_of_result ~key ~query ~budget ~jobs ~wall_ms (r : Mc.Query.result) =
+  { Store.Entry.en_key = key;
+    en_query = query;
+    en_outcome = outcome_to_entry r.Mc.Query.res_outcome;
+    en_stats = stats_to_entry r.Mc.Query.res_stats;
+    en_budget = budget;
+    en_prov =
+      { Store.Entry.pv_tool = tool;
+        pv_jobs = jobs;
+        pv_wall_ms = wall_ms;
+        pv_created = Unix.gettimeofday () } }
+
+let result_of_entry (e : Store.Entry.t) =
+  { Mc.Query.res_outcome = outcome_of_entry e.Store.Entry.en_outcome;
+    res_stats = stats_of_entry e.Store.Entry.en_stats }
 
 (* --- cached evaluation -------------------------------------------------- *)
 
@@ -198,18 +207,12 @@ let eval t ?(jobs = 1) ?ctl ?limit net q =
   let requested = entry_budget ?limit ?ctl () in
   let k = key net q in
   match find t ~requested k with
-  | Some e ->
-    { Mc.Query.res_outcome = outcome_of_entry e.Store.Entry.en_outcome;
-      res_stats = stats_of_entry e.Store.Entry.en_stats }
+  | Some e -> result_of_entry e
   | None ->
     let t0 = Unix.gettimeofday () in
     let r = Mc.Query.eval ~jobs ?ctl ?limit net q in
     let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
     insert t
-      { Store.Entry.en_key = k;
-        en_query = Mc.Query.to_string q;
-        en_outcome = outcome_to_entry r.Mc.Query.res_outcome;
-        en_stats = stats_to_entry r.Mc.Query.res_stats;
-        en_budget = requested;
-        en_prov = provenance ~jobs ~wall_ms };
+      (entry_of_result ~key:k ~query:(Mc.Query.to_string q) ~budget:requested
+         ~jobs ~wall_ms r);
     r

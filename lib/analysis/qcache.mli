@@ -31,8 +31,6 @@ val misses : t -> int
 (** Store faults absorbed so far (unavailable reads + failed inserts). *)
 val errors : t -> int
 
-val breaker : t -> Fault.Breaker.t
-
 (** True once the breaker has ever tripped: some answers were (or are
     being) computed without the store.  Reported in cache stats and
     reflected in the CLI's degraded-completion exit code. *)
@@ -77,18 +75,28 @@ val find : t -> requested:Store.Entry.budget -> Store.D128.t -> Store.Entry.t op
     swallowed: publishing is strictly best-effort. *)
 val insert : t -> Store.Entry.t -> unit
 
-val outcome_to_entry : Mc.Query.outcome -> Store.Entry.outcome
-val outcome_of_entry : Store.Entry.outcome -> Mc.Query.outcome
-val sup_to_entry : Mc.Explorer.sup_result -> Store.Entry.sup
-val sup_of_entry : Store.Entry.sup -> Mc.Explorer.sup_result
-val reason_to_entry : Mc.Runctl.reason -> Store.Entry.reason
-val reason_of_entry : Store.Entry.reason -> Mc.Runctl.reason
-val stats_to_entry : Mc.Explorer.stats -> Store.Entry.stats
-val stats_of_entry : Store.Entry.stats -> Mc.Explorer.stats
+(** {1 Result codec}
 
-(** [provenance ~jobs ~wall_ms] stamps an entry with this tool's version
-    and the current time. *)
-val provenance : jobs:int -> wall_ms:float -> Store.Entry.provenance
+    The only conversion between the checker's results and store
+    entries, in both directions. *)
+
+(** [entry_of_result ~key ~query ~budget ~jobs ~wall_ms r] is the entry
+    recording [r] under [key]: [query] is the canonical query text,
+    [budget] the run's {!entry_budget}, and the provenance stamps this
+    tool's version, [jobs], [wall_ms] and the current time. *)
+val entry_of_result :
+  key:Store.D128.t -> query:string -> budget:Store.Entry.budget -> jobs:int ->
+  wall_ms:float -> Mc.Query.result -> Store.Entry.t
+
+(** The result an entry records: its outcome and the producing run's
+    statistics. *)
+val result_of_entry : Store.Entry.t -> Mc.Query.result
+
+(** The field codecs {!entry_of_result} is built from, for surfaces that
+    print a fresh result in the entry's JSON shape (serve frames,
+    [check --json]). *)
+val outcome_to_entry : Mc.Query.outcome -> Store.Entry.outcome
+val stats_to_entry : Mc.Explorer.stats -> Store.Entry.stats
 
 (** [eval t net q] is {!Mc.Query.eval} behind the cache: answer from the
     store when a reusable entry exists, otherwise evaluate and insert.

@@ -7,21 +7,15 @@ type delay_result = {
   dr_snapshot : Mc.Explorer.snapshot option;
 }
 
-let monitor_clock = "psv_delay_mon"
-
-let max_delay ?(jobs = 1) ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
-  let monitor =
-    Mc.Monitor.delay ~trigger ~response ~clock:monitor_clock ~ceiling ()
+let max_delay ?jobs ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
+  let t =
+    Mc.Query.explorer ?limit net
+      (Mc.Query.Sup_delay { trigger; response; ceiling })
   in
-  let t = Mc.Explorer.make ~monitor ?limit net in
   (* Parsearch delegates jobs <= 1 to the sequential path; snapshots
      use one format either way, so a checkpoint taken at any [jobs]
      resumes at any other *)
-  let o =
-    Mc.Parsearch.sup_clock ~jobs ?ctl ?resume t
-      ~pred:(Mc.Explorer.mon_in t "Waiting")
-      ~clock:monitor_clock
-  in
+  let o = Mc.Query.delay_sup ?jobs ?ctl ?resume t in
   { dr_trigger = trigger; dr_response = response;
     dr_sup = o.Mc.Explorer.so_sup;
     dr_stats = o.Mc.Explorer.so_stats;
@@ -29,25 +23,11 @@ let max_delay ?(jobs = 1) ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
     dr_snapshot = o.Mc.Explorer.so_snapshot }
 
 let verdict_of_delay r ~bound =
-  match r.dr_interrupt, r.dr_sup with
-  | None, Mc.Explorer.Sup_unreached ->
-    Mc.Explorer.Proved  (* the trigger never fires *)
-  | None, Mc.Explorer.Sup (v, _) ->
-    if v <= bound then Mc.Explorer.Proved else Mc.Explorer.Refuted None
-  | None, Mc.Explorer.Sup_exceeds _ -> Mc.Explorer.Refuted None
-  (* partial sups are lower bounds on the true sup, so exceeding the
-     bound refutes even when the search was cut short *)
-  | Some _, Mc.Explorer.Sup (v, _) when v > bound -> Mc.Explorer.Refuted None
-  | Some _, Mc.Explorer.Sup_exceeds _ -> Mc.Explorer.Refuted None
-  | Some reason, _ -> Mc.Explorer.Unknown reason
+  Mc.Query.bounded_verdict r.dr_interrupt r.dr_sup bound
 
 let satisfies_response_bound ?jobs ?limit ?ctl net ~trigger ~response ~bound =
   let r = max_delay ?jobs ?limit ?ctl net ~trigger ~response ~ceiling:bound in
   verdict_of_delay r ~bound
-
-let pim_internal_bound ?limit (pim : Transform.Pim.t) ~input ~output ~ceiling =
-  max_delay ?limit pim.Transform.Pim.pim_net ~trigger:input ~response:output
-    ~ceiling
 
 (* --- parallel query driver ---------------------------------------------- *)
 
@@ -103,46 +83,33 @@ let spec_query spec =
       response = spec.qs_response;
       ceiling = spec.qs_ceiling }
 
-(* A cached entry for a sup query, replayed as a delay_result.  The
-   entry's outcome is [Sup] (finished) or [Unknown] with the partial sup
-   (interrupted); anything else means the entry was produced by a
-   different query kind under a colliding key, which we treat as a miss
-   rather than trust. *)
-let delay_of_entry spec (e : Store.Entry.t) =
+(* A sup query's result, as a delay_result and back.  A finished search
+   is [Sup], an interrupted one [Unknown] with the partial sup; any
+   other outcome means the entry was produced by a different query kind
+   under a colliding key, which we treat as a miss rather than trust. *)
+let delay_of_result spec (r : Mc.Query.result) =
   let finish sup interrupt =
     Some
       { dr_trigger = spec.qs_trigger;
         dr_response = spec.qs_response;
         dr_sup = sup;
-        dr_stats = Qcache.stats_of_entry e.Store.Entry.en_stats;
+        dr_stats = r.Mc.Query.res_stats;
         dr_interrupt = interrupt;
         dr_snapshot = None }
   in
-  match e.Store.Entry.en_outcome with
-  | Store.Entry.Sup s -> finish (Qcache.sup_of_entry s) None
-  | Store.Entry.Unknown (reason, partial) ->
-    let sup =
-      match partial with
-      | Some s -> Qcache.sup_of_entry s
-      | None -> Mc.Explorer.Sup_unreached
-    in
-    finish sup (Some (Qcache.reason_of_entry reason))
-  | Store.Entry.Holds | Store.Entry.Fails _ -> None
+  match r.Mc.Query.res_outcome with
+  | Mc.Query.Sup sup -> finish sup None
+  | Mc.Query.Unknown (reason, partial) ->
+    finish (Option.value partial ~default:Mc.Explorer.Sup_unreached)
+      (Some reason)
+  | Mc.Query.Holds | Mc.Query.Fails _ -> None
 
-let entry_of_delay ~key ~query ~budget ~jobs ~wall_ms r =
-  let outcome =
-    match r.dr_interrupt with
-    | None -> Store.Entry.Sup (Qcache.sup_to_entry r.dr_sup)
-    | Some reason ->
-      Store.Entry.Unknown
-        (Qcache.reason_to_entry reason, Some (Qcache.sup_to_entry r.dr_sup))
-  in
-  { Store.Entry.en_key = key;
-    en_query = query;
-    en_outcome = outcome;
-    en_stats = Qcache.stats_to_entry r.dr_stats;
-    en_budget = budget;
-    en_prov = Qcache.provenance ~jobs ~wall_ms }
+let result_of_delay r =
+  { Mc.Query.res_outcome =
+      (match r.dr_interrupt with
+       | None -> Mc.Query.Sup r.dr_sup
+       | Some reason -> Mc.Query.Unknown (reason, Some r.dr_sup));
+    res_stats = r.dr_stats }
 
 let run_all ?(jobs = 1) ?(search_jobs = 1) ?limit ?ctl ?cache specs =
   pool_map ~jobs
@@ -161,7 +128,8 @@ let run_all ?(jobs = 1) ?(search_jobs = 1) ?limit ?ctl ?cache specs =
         let key = Qcache.key net q in
         let requested = Qcache.entry_budget ?limit ?ctl () in
         let cached =
-          Option.bind (Qcache.find cache ~requested key) (delay_of_entry spec)
+          Option.bind (Qcache.find cache ~requested key) (fun e ->
+              delay_of_result spec (Qcache.result_of_entry e))
         in
         (match cached with
          | Some r -> (spec, r)
@@ -170,8 +138,9 @@ let run_all ?(jobs = 1) ?(search_jobs = 1) ?limit ?ctl ?cache specs =
            let r = run () in
            let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
            Qcache.insert cache
-             (entry_of_delay ~key ~query:(Mc.Query.to_string q)
-                ~budget:requested ~jobs:search_jobs ~wall_ms r);
+             (Qcache.entry_of_result ~key ~query:(Mc.Query.to_string q)
+                ~budget:requested ~jobs:search_jobs ~wall_ms
+                (result_of_delay r));
            (spec, r)))
     specs
 

@@ -20,7 +20,9 @@ type delay_result = {
     runs, of the time between a [trigger] synchronisation and the
     following [response] synchronisation, measured by a non-blocking
     monitor.  [Sup_exceeds] means the delay is not bounded by [ceiling]
-    (possibly unbounded).
+    (possibly unbounded).  This is the [sup:] query of {!Mc.Query} — same
+    explorer ({!Mc.Query.explorer}), same search ({!Mc.Query.delay_sup}),
+    same sup and statistics — with the snapshot kept.
 
     [ctl] governs the run (budgets, cancellation); [resume] continues an
     interrupted run from its snapshot — same trigger, response, ceiling
@@ -35,7 +37,8 @@ val max_delay :
   Ta.Model.network ->
   trigger:string -> response:string -> ceiling:int -> delay_result
 
-(** The three-valued bound check behind {!satisfies_response_bound},
+(** The three-valued bound check behind {!satisfies_response_bound}
+    ({!Mc.Query.bounded_verdict}, the ladder of [bounded:] queries),
     exposed for callers that already ran {!max_delay} with
     [ceiling = bound]. *)
 val verdict_of_delay : delay_result -> bound:int -> Mc.Explorer.verdict
@@ -50,14 +53,6 @@ val satisfies_response_bound :
   ?jobs:int -> ?limit:int -> ?ctl:Mc.Runctl.t ->
   Ta.Model.network ->
   trigger:string -> response:string -> bound:int -> Mc.Explorer.verdict
-
-(** The maximum internal delay [Δio-internal] of a PIM for an
-    input/output pair — in the PIM the platform does not exist, so the
-    m-to-c delay {e is} the internal delay. *)
-val pim_internal_bound :
-  ?limit:int ->
-  Transform.Pim.t ->
-  input:string -> output:string -> ceiling:int -> delay_result
 
 (** [pool_map ~jobs f items] maps [f] over [items] on a pool of [jobs]
     domains (clamped to the item count; [jobs <= 1] is a plain

@@ -303,12 +303,9 @@ let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
       (match cache with
       | Some c ->
         Qcache.insert c
-          { Store.Entry.en_key = ri.ri_key;
-            en_query = Mc.Query.to_string ri.ri_query;
-            en_outcome = Qcache.outcome_to_entry r.Mc.Query.res_outcome;
-            en_stats = Qcache.stats_to_entry r.Mc.Query.res_stats;
-            en_budget = ri.ri_budget;
-            en_prov = Qcache.provenance ~jobs:1 ~wall_ms }
+          (Qcache.entry_of_result ~key:ri.ri_key
+             ~query:(Mc.Query.to_string ri.ri_query) ~budget:ri.ri_budget
+             ~jobs:1 ~wall_ms r)
       | None -> ());
       finish (`Ok (ri.ri_id, r))
     | exception Not_found ->

@@ -300,77 +300,6 @@ let replay_expand t comp compat ~fast tbl nodes replayed expanded pool st =
 
 (* --- the query engine ------------------------------------------------- *)
 
-(* Mirrors [Mc.Query.eval]'s four branches on the sequential ([jobs=1])
-   path, with the expansion hook threaded through; outcome ladders are
-   copied verbatim so results are byte-identical. *)
-
-let make_explorer ?limit net q =
-  match q with
-  | Mc.Query.Exists_eventually _ | Mc.Query.Always _ -> E.make ?limit net
-  | Mc.Query.Sup_delay { trigger; response; ceiling } ->
-    let monitor =
-      Mc.Monitor.delay ~trigger ~response ~clock:Mc.Query.delay_monitor_clock
-        ~ceiling ()
-    in
-    E.make ?limit ~monitor net
-  | Mc.Query.Bounded_response { trigger; response; bound } ->
-    let monitor =
-      Mc.Monitor.delay ~trigger ~response ~clock:Mc.Query.delay_monitor_clock
-        ~ceiling:bound ()
-    in
-    E.make ?limit ~monitor net
-
-let run_query ?ctl t q ~expand =
-  match q with
-  | Mc.Query.Exists_eventually p ->
-    let r = E.reachable ~expand ?ctl t (Mc.Query.compile_pred t p) in
-    let outcome =
-      match r.E.r_trace, r.E.r_interrupt with
-      | Some _, _ -> Mc.Query.Holds
-      | None, Some reason -> Mc.Query.Unknown (reason, None)
-      | None, None -> Mc.Query.Fails None
-    in
-    { Mc.Query.res_outcome = outcome; res_stats = r.E.r_stats }
-  | Mc.Query.Always p ->
-    let pred = Mc.Query.compile_pred t p in
-    let r = E.reachable ~expand ?ctl t (fun st -> not (pred st)) in
-    let outcome =
-      match r.E.r_trace, r.E.r_interrupt with
-      | Some trace, _ -> Mc.Query.Fails (Some trace)
-      | None, Some reason -> Mc.Query.Unknown (reason, None)
-      | None, None -> Mc.Query.Holds
-    in
-    { Mc.Query.res_outcome = outcome; res_stats = r.E.r_stats }
-  | Mc.Query.Sup_delay _ ->
-    let o =
-      E.sup_clock ~expand ?ctl t
-        ~pred:(E.mon_in t "Waiting")
-        ~clock:Mc.Query.delay_monitor_clock
-    in
-    let outcome =
-      match o.E.so_interrupt with
-      | Some reason -> Mc.Query.Unknown (reason, Some o.E.so_sup)
-      | None -> Mc.Query.Sup o.E.so_sup
-    in
-    { Mc.Query.res_outcome = outcome; res_stats = o.E.so_stats }
-  | Mc.Query.Bounded_response { bound; _ } ->
-    let o =
-      E.sup_clock ~expand ?ctl t
-        ~pred:(E.mon_in t "Waiting")
-        ~clock:Mc.Query.delay_monitor_clock
-    in
-    let outcome =
-      match o.E.so_interrupt, o.E.so_sup with
-      | None, E.Sup_unreached -> Mc.Query.Holds
-      | None, E.Sup (v, _) ->
-        if v <= bound then Mc.Query.Holds else Mc.Query.Fails None
-      | None, E.Sup_exceeds _ -> Mc.Query.Fails None
-      | Some _, E.Sup (v, _) when v > bound -> Mc.Query.Fails None
-      | Some _, E.Sup_exceeds _ -> Mc.Query.Fails None
-      | Some reason, partial -> Mc.Query.Unknown (reason, Some partial)
-    in
-    { Mc.Query.res_outcome = outcome; res_stats = o.E.so_stats }
-
 type run = {
   dr_result : Mc.Query.result;
   dr_graph : graph;
@@ -390,10 +319,10 @@ let finish net q comp nodes result ~replayed ~expanded =
     dr_expanded = expanded }
 
 let record ?ctl ?limit net q =
-  let t = make_explorer ?limit net q in
+  let t = Mc.Query.explorer ?limit net q in
   let comp = E.compiled t in
   let nodes = ref [] in
-  let result = run_query ?ctl t q ~expand:(record_expand t comp nodes) in
+  let result = Mc.Query.run ?ctl ~expand:(record_expand t comp nodes) t q in
   finish net q comp nodes result ~replayed:0 ~expanded:(List.length !nodes)
 
 let replay ?ctl ?limit ~old_net ~graph net q =
@@ -403,8 +332,8 @@ let replay ?ctl ?limit ~old_net ~graph net q =
   else if not (String.equal graph.g_net (Xta.Print.to_string old_net)) then
     Error "graph does not match the previous network"
   else
-    let t = make_explorer ?limit net q in
-    let t_old = make_explorer ?limit old_net q in
+    let t = Mc.Query.explorer ?limit net q in
+    let t_old = Mc.Query.explorer ?limit old_net q in
     match diff (E.compiled t_old) (E.compiled t) with
     | Incompatible reason -> Error reason
     | Compatible compat ->
@@ -418,7 +347,7 @@ let replay ?ctl ?limit ~old_net ~graph net q =
         let expand =
           replay_expand t comp compat ~fast tbl nodes replayed expanded
         in
-        let result = run_query ?ctl t q ~expand in
+        let result = Mc.Query.run ?ctl ~expand t q in
         Ok
           (finish net q comp nodes result ~replayed:!replayed
              ~expanded:!expanded)

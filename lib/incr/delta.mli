@@ -48,15 +48,16 @@ type run = {
   dr_expanded : int;  (** expansions that fired for real *)
 }
 
-(** Evaluate [q] on [net] sequentially (the [jobs = 1] path of
-    {!Mc.Query.eval}, byte-identical results) while recording the
-    expansion graph.
+(** Evaluate [q] on [net] through {!Mc.Query.run} with a recording
+    [expand] hook (so the [jobs = 1] path of {!Mc.Query.eval},
+    byte-identical results) while recording the expansion graph.
     @raise Ta.Compiled.Compile_error / [Not_found] as {!Mc.Query.eval}. *)
 val record :
   ?ctl:Mc.Runctl.t -> ?limit:int -> Ta.Model.network -> Mc.Query.t -> run
 
-(** [replay ~old_net ~graph net q] re-evaluates [q] on the edited [net],
-    replaying from [graph] (recorded on [old_net]).  [Error reason]
+(** [replay ~old_net ~graph net q] re-evaluates [q] on the edited [net]
+    through {!Mc.Query.run}, with an [expand] hook replaying from [graph]
+    (recorded on [old_net]).  [Error reason]
     when the edit is outside the delta engine's reach — declarations,
     automaton/location name lists changed, urgency added, or the graph
     does not belong to ([old_net], [q]) — in which case the caller

@@ -64,10 +64,7 @@ let prev_of_disk t qtext =
              Some
                { pv_net = old_net;
                  pv_key = s.Store.Session.ss_result_key;
-                 pv_result =
-                   { Mc.Query.res_outcome =
-                       Qcache.outcome_of_entry e.Store.Entry.en_outcome;
-                     res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
+                 pv_result = Qcache.result_of_entry e;
                  pv_budget = e.Store.Entry.en_budget;
                  pv_wall_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms;
                  pv_graph = graph }
@@ -111,13 +108,10 @@ let persist t qtext pv =
 
 (* --- entries ---------------------------------------------------------- *)
 
-let entry_of ~key ~qtext ~budget ~wall_ms (r : Mc.Query.result) =
-  { Store.Entry.en_key = key;
-    en_query = qtext;
-    en_outcome = Qcache.outcome_to_entry r.Mc.Query.res_outcome;
-    en_stats = Qcache.stats_to_entry r.Mc.Query.res_stats;
-    en_budget = budget;
-    en_prov = Qcache.provenance ~jobs:1 ~wall_ms }
+(* The store entry recording [pv]'s answer under [key]. *)
+let entry_of ~key qtext pv =
+  Qcache.entry_of_result ~key ~query:qtext ~budget:pv.pv_budget ~jobs:1
+    ~wall_ms:pv.pv_wall_ms pv.pv_result
 
 let publish t entry =
   match t.s_cache with None -> () | Some c -> Qcache.insert c entry
@@ -135,21 +129,17 @@ let run ?ctl ?limit t net q =
   in
   match store_hit with
   | Some e ->
-    { so_result =
-        { Mc.Query.res_outcome = Qcache.outcome_of_entry e.Store.Entry.en_outcome;
-          res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
+    { so_result = Qcache.result_of_entry e;
       so_rung = Store_hit;
       so_replayed = 0;
       so_expanded = 0;
       so_answer_ms = 0. }
   | None ->
-    let full () =
-      let t0 = Unix.gettimeofday () in
-      let run = Delta.record ?ctl ?limit net q in
+    (* A searched answer (full or delta rung) is published, remembered
+       and persisted as the session's new previous run. *)
+    let searched rung so_rung t0 (run : Delta.run) =
       let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      note t `Full;
-      publish t
-        (entry_of ~key:k ~qtext ~budget:requested ~wall_ms run.Delta.dr_result);
+      note t rung;
       let pv =
         { pv_net = net;
           pv_key = k;
@@ -158,13 +148,18 @@ let run ?ctl ?limit t net q =
           pv_wall_ms = wall_ms;
           pv_graph = run.Delta.dr_graph }
       in
+      publish t (entry_of ~key:k qtext pv);
       remember t qtext pv;
       persist t qtext pv;
       { so_result = run.Delta.dr_result;
-        so_rung = Full;
-        so_replayed = 0;
+        so_rung;
+        so_replayed = run.Delta.dr_replayed;
         so_expanded = run.Delta.dr_expanded;
         so_answer_ms = wall_ms }
+    in
+    let full () =
+      let t0 = Unix.gettimeofday () in
+      searched `Full Full t0 (Delta.record ?ctl ?limit net q)
     in
     let delta pv =
       let t0 = Unix.gettimeofday () in
@@ -172,27 +167,7 @@ let run ?ctl ?limit t net q =
         Delta.replay ?ctl ?limit ~old_net:pv.pv_net ~graph:pv.pv_graph net q
       with
       | Error _ -> full ()
-      | Ok run ->
-        let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-        note t `Delta;
-        publish t
-          (entry_of ~key:k ~qtext ~budget:requested ~wall_ms
-             run.Delta.dr_result);
-        let pv' =
-          { pv_net = net;
-            pv_key = k;
-            pv_result = run.Delta.dr_result;
-            pv_budget = requested;
-            pv_wall_ms = wall_ms;
-            pv_graph = run.Delta.dr_graph }
-        in
-        remember t qtext pv';
-        persist t qtext pv';
-        { so_result = run.Delta.dr_result;
-          so_rung = Delta;
-          so_replayed = run.Delta.dr_replayed;
-          so_expanded = run.Delta.dr_expanded;
-          so_answer_ms = wall_ms }
+      | Ok run -> searched `Delta Delta t0 run
     in
     (match prev_for t qtext with
      | None -> full ()
@@ -201,10 +176,7 @@ let run ?ctl ?limit t net q =
          (* The previous result answers this request only under the
             entry reuse rule: definitive, or produced under a budget
             dominating the requested one. *)
-         Store.Entry.reusable
-           (entry_of ~key:pv.pv_key ~qtext ~budget:pv.pv_budget
-              ~wall_ms:pv.pv_wall_ms pv.pv_result)
-           ~requested
+         Store.Entry.reusable (entry_of ~key:pv.pv_key qtext pv) ~requested
        in
        (match Cone.check ~old_net:pv.pv_net net q with
         | Ok () when cone_reusable () ->
@@ -212,9 +184,7 @@ let run ?ctl ?limit t net q =
           (* Republish under the new network's key so an identical
              rerun answers on the store rung; the entry keeps the
              producing run's budget and provenance. *)
-          publish t
-            (entry_of ~key:k ~qtext ~budget:pv.pv_budget
-               ~wall_ms:pv.pv_wall_ms pv.pv_result);
+          publish t (entry_of ~key:k qtext pv);
           (* The session deliberately stays at [pv]: the graph still
              describes [pv_net], and future cone checks re-diff against
              it, so drift in the invisible part keeps hitting. *)

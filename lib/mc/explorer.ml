@@ -194,33 +194,42 @@ let apply_dconstraints z dcs =
       Zone.Dbm.constrain z dc.Compiled.dc_i dc.Compiled.dc_j (bound_of_dc dc))
     dcs
 
-let apply_invariants t locs z =
+let apply_invariants comp locs z =
   Array.iteri
     (fun ai li ->
-      apply_dconstraints z t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_inv)
+      apply_dconstraints z comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_inv)
     locs
 
-let loc_kind t ai li =
-  t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_kind
+let loc_kind comp ai li =
+  comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_kind
 
-let committed_present t locs =
+let committed_present comp locs =
   let n = Array.length locs in
   let rec loop ai =
     ai < n
-    && (loc_kind t ai locs.(ai) = Model.Committed || loop (ai + 1))
+    && (loc_kind comp ai locs.(ai) = Model.Committed || loop (ai + 1))
   in
   loop 0
 
-let no_delay_present t locs =
+let no_delay_present comp locs =
   let n = Array.length locs in
   let rec loop ai =
     ai < n
-    && ((match loc_kind t ai locs.(ai) with
+    && ((match loc_kind comp ai locs.(ai) with
          | Model.Urgent | Model.Committed -> true
          | Model.Normal -> false)
         || loop (ai + 1))
   in
   loop 0
+
+(* Location invariants, then delay closure (unless an urgent or
+   committed location pins time) and the invariants again. *)
+let delay_close comp locs z =
+  apply_invariants comp locs z;
+  if not (no_delay_present comp locs) then begin
+    Zone.Dbm.up z;
+    apply_invariants comp locs z
+  end
 
 (* Clocks the monitor declares inactive carry no information; freeing them
    merges zones that differ only in their value. *)
@@ -255,20 +264,28 @@ let candidate ~movers ~chan = { cd_movers = movers; cd_chan = chan }
 
 let candidate_chan cd = cd.cd_chan
 
-(* [fire t pool st cd] applies candidate [cd] to [st].  The successor
-   zone is taken from [pool]; candidates whose guard (or target
-   invariant) empties the zone return their scratch matrix to the pool
-   instead of leaving it to the GC -- in a typical exploration most
-   candidates die here, so this removes the dominant allocation. *)
-let fire t pool st cd =
+(* The extrapolation this explorer applies to every stored zone. *)
+let extrapolate t z =
+  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
+  else Zone.Dbm.extrapolate z t.k
+
+(* The firing pipeline shared by [fire] and [fire_pre]: guards,
+   location/variable updates, monitor step, resets, activity reduction,
+   target invariants and delay closure, everything up to (not including)
+   extrapolation.  The successor zone is taken from [pool]; candidates
+   whose guard (or target invariant) empties the zone return their
+   scratch matrix to the pool and yield [dead] -- in a typical
+   exploration most candidates die here, so this removes the dominant
+   allocation.  A live successor is handed to [live] (a closed function,
+   so passing it allocates nothing). *)
+let fire_with t pool st cd ~dead ~live =
   let z = Zone.Dbm.Pool.copy pool st.st_zone in
-  let dead () =
-    Zone.Dbm.Pool.release pool z;
-    None
-  in
   List.iter (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
     cd.cd_movers;
-  if Zone.Dbm.is_empty z then dead ()
+  if Zone.Dbm.is_empty z then begin
+    Zone.Dbm.Pool.release pool z;
+    dead
+  end
   else begin
     let locs' = Array.copy st.st_locs in
     List.iter (fun (ai, ce) -> locs'.(ai) <- ce.Compiled.ce_dst) cd.cd_movers;
@@ -298,30 +315,40 @@ let fire t pool st cd =
       (fun (ai, ce) ->
         free_inactive_automaton_clocks t ai ce.Compiled.ce_dst z)
       cd.cd_movers;
-    apply_invariants t locs' z;
-    if Zone.Dbm.is_empty z then dead ()
+    apply_invariants t.comp locs' z;
+    if Zone.Dbm.is_empty z then begin
+      Zone.Dbm.Pool.release pool z;
+      dead
+    end
     else begin
-      if not (no_delay_present t locs') then begin
+      if not (no_delay_present t.comp locs') then begin
         Zone.Dbm.up z;
-        apply_invariants t locs' z
+        apply_invariants t.comp locs' z
       end;
-      if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-      else Zone.Dbm.extrapolate z t.k;
-      if Zone.Dbm.is_empty z then dead ()
-      else Some { st_locs = locs'; st_vars = vars'; st_mon = mon'; st_zone = z }
+      live t pool locs' vars' mon' z
     end
   end
 
+(* Finish a successor: extrapolate in place; an emptied zone goes back
+   to the pool. *)
+let finish_state t pool locs vars mon z =
+  extrapolate t z;
+  if Zone.Dbm.is_empty z then begin
+    Zone.Dbm.Pool.release pool z;
+    None
+  end
+  else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
+
+let fire t pool st cd = fire_with t pool st cd ~dead:None ~live:finish_state
+
 (* [fire_pre] is [fire] with the successor zone additionally exposed as it
-   stood just {e before} extrapolation.  Everything up to that point —
-   guards, updates, monitor step, resets, activity reduction, invariants,
-   delay closure — depends only on the model structure, never on the
-   extrapolation constants, so a recorded pre-extrapolation zone stays
-   valid across edits that merely move a maximal constant; the delta
-   explorer re-applies the {e current} extrapolation at replay time.
-   Emptiness is decided before extrapolation (widening cannot empty a
-   non-empty canonical zone), so [Fired_dead] is extrapolation-independent
-   too. *)
+   stood just {e before} extrapolation.  Everything up to that point
+   depends only on the model structure, never on the extrapolation
+   constants, so a recorded pre-extrapolation zone stays valid across
+   edits that merely move a maximal constant; the delta explorer
+   re-applies the {e current} extrapolation at replay time.  Emptiness
+   is decided before extrapolation (widening cannot empty a non-empty
+   canonical zone), so [Fired_dead] is extrapolation-independent too. *)
 type fired =
   | Fired_dead
   | Fired_live of {
@@ -332,64 +359,14 @@ type fired =
       fl_pre : int array;
     }
 
+let finish_fired t pool locs vars mon z =
+  let fl_pre = Zone.Dbm.to_ints z in
+  Fired_live
+    { fl_state = finish_state t pool locs vars mon z;
+      fl_locs = locs; fl_vars = vars; fl_mon = mon; fl_pre }
+
 let fire_pre t pool st cd =
-  let z = Zone.Dbm.Pool.copy pool st.st_zone in
-  let dead () =
-    Zone.Dbm.Pool.release pool z;
-    Fired_dead
-  in
-  List.iter (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
-    cd.cd_movers;
-  if Zone.Dbm.is_empty z then dead ()
-  else begin
-    let locs' = Array.copy st.st_locs in
-    List.iter (fun (ai, ce) -> locs'.(ai) <- ce.Compiled.ce_dst) cd.cd_movers;
-    let vars' =
-      List.fold_left
-        (fun vals (_, ce) ->
-          if ce.Compiled.ce_updates = [] then vals
-          else Compiled.apply_updates t.comp vals ce.Compiled.ce_updates)
-        st.st_vars cd.cd_movers
-    in
-    let mon', mon_resets =
-      match cd.cd_chan with
-      | None -> (st.st_mon, [])
-      | Some ch ->
-        (match t.mon_step.(ch).(st.st_mon) with
-         | Some (dst, resets) -> (dst, resets)
-         | None -> (st.st_mon, []))
-    in
-    List.iter
-      (fun (_, ce) -> List.iter (Zone.Dbm.reset z) ce.Compiled.ce_resets)
-      cd.cd_movers;
-    List.iter (Zone.Dbm.reset z) mon_resets;
-    free_inactive_monitor_clocks t mon' z;
-    List.iter
-      (fun (ai, ce) ->
-        free_inactive_automaton_clocks t ai ce.Compiled.ce_dst z)
-      cd.cd_movers;
-    apply_invariants t locs' z;
-    if Zone.Dbm.is_empty z then dead ()
-    else begin
-      if not (no_delay_present t locs') then begin
-        Zone.Dbm.up z;
-        apply_invariants t locs' z
-      end;
-      let fl_pre = Zone.Dbm.to_ints z in
-      if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-      else Zone.Dbm.extrapolate z t.k;
-      let fl_state =
-        if Zone.Dbm.is_empty z then begin
-          Zone.Dbm.Pool.release pool z;
-          None
-        end
-        else
-          Some { st_locs = locs'; st_vars = vars'; st_mon = mon'; st_zone = z }
-      in
-      Fired_live
-        { fl_state; fl_locs = locs'; fl_vars = vars'; fl_mon = mon'; fl_pre }
-    end
-  end
+  fire_with t pool st cd ~dead:Fired_dead ~live:finish_fired
 
 (* Replay counterpart of [fire_pre]: rebuild a recorded successor from its
    pre-extrapolation zone and finish with {e this} explorer's
@@ -398,8 +375,7 @@ let fire_pre t pool st cd =
 let admit_pre t ~locs ~vars ~mon ~pre =
   let dim = t.comp.Compiled.c_nclocks + 1 in
   let z = Zone.Dbm.of_ints ~dim pre in
-  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-  else Zone.Dbm.extrapolate z t.k;
+  extrapolate t z;
   if Zone.Dbm.is_empty z then None
   else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
 
@@ -435,11 +411,11 @@ let cartesian choice_lists =
 let candidates t st =
   let comp = t.comp in
   let nauts = Array.length comp.Compiled.c_automata in
-  let com = committed_present t st.st_locs in
+  let com = committed_present t.comp st.st_locs in
   let allowed movers =
     (not com)
     || List.exists
-         (fun (ai, ce) -> loc_kind t ai ce.Compiled.ce_src = Model.Committed)
+         (fun (ai, ce) -> loc_kind t.comp ai ce.Compiled.ce_src = Model.Committed)
          movers
   in
   let acc = ref [] in
@@ -534,27 +510,10 @@ type pw_node = {
   mutable pw_entries : entry list;
 }
 
-type progress = {
-  pr_visited : int;
-  pr_stored : int;
-  pr_queue : int;
-}
-
-(* Single stats hook for progress output.  [PSV_MC_PROGRESS] is consulted
-   once, not per state; [set_progress_hook] overrides the default
-   stderr printer. *)
-let progress_hook : (progress -> unit) option ref = ref None
-
-let set_progress_hook h = progress_hook := h
-
-let env_progress =
-  lazy
-    (if Sys.getenv_opt "PSV_MC_PROGRESS" <> None then
-       Some
-         (fun p ->
-           Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" p.pr_visited
-             p.pr_stored p.pr_queue)
-     else None)
+(* Progress output: with [PSV_MC_PROGRESS] set (consulted once, not per
+   state) the sequential search prints its counters to stderr every
+   1000 visited states. *)
+let env_progress = lazy (Sys.getenv_opt "PSV_MC_PROGRESS" <> None)
 
 let hash_discrete locs vars mon =
   let h = ref (mon + 0x9e3779b9) in
@@ -571,13 +530,8 @@ let initial_state t =
   let z = Zone.Dbm.zero (comp.Compiled.c_nclocks + 1) in
   free_inactive_monitor_clocks t t.monitor.Monitor.mon_initial z;
   Array.iteri (fun ai li -> free_inactive_automaton_clocks t ai li z) locs;
-  apply_invariants t locs z;
-  if not (no_delay_present t locs) then begin
-    Zone.Dbm.up z;
-    apply_invariants t locs z
-  end;
-  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-  else Zone.Dbm.extrapolate z t.k;
+  delay_close t.comp locs z;
+  extrapolate t z;
   { st_locs = locs; st_vars = vars; st_mon = t.monitor.Monitor.mon_initial;
     st_zone = z }
 
@@ -771,9 +725,7 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
      pool even if a successor subsumes it, because the remaining
      candidates of this expansion still read it *)
   let expanding = ref (-1) in
-  let progress =
-    match !progress_hook with Some h -> Some h | None -> Lazy.force env_progress
-  in
+  let progress = Lazy.force env_progress in
   let find_node bucket h st =
     let rec go = function
       | [] -> None
@@ -952,12 +904,9 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
     let e = Queue.pop waiting in
     if not e.e_dead then begin
       incr visited;
-      (match progress with
-       | Some hook when !visited mod 1_000 = 0 ->
-         hook
-           { pr_visited = !visited; pr_stored = !stored;
-             pr_queue = Queue.length waiting }
-       | Some _ | None -> ());
+      if progress && !visited mod 1_000 = 0 then
+        Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" !visited
+          !stored (Queue.length waiting);
       expanding := e.e_id;
       let successors = ref 0 in
       let handle cd st =
@@ -1072,17 +1021,25 @@ let reachable ?expand ?ctl t pred =
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
 
-let safe ?ctl t pred =
-  let r = reachable ?ctl t pred in
-  match r.r_trace, r.r_interrupt with
-  | Some trace, _ -> (Refuted (Some trace), r.r_stats)
-  | None, Some reason -> (Unknown reason, r.r_stats)
-  | None, None -> (Proved, r.r_stats)
-
 type sup_result =
   | Sup_unreached
   | Sup of int * bool
   | Sup_exceeds of int
+
+(* The running sup after a state whose clock supremum is [b].  Returns
+   [acc] physically unchanged when the sup does not move, so the common
+   case allocates nothing.  At equal values a non-strict bound beats a
+   strict one ([<= v] is the weaker claim). *)
+let fold_sup ~ceiling acc b =
+  if Zone.Bound.is_infinite b then
+    match acc with Sup_exceeds _ -> acc | _ -> Sup_exceeds ceiling
+  else
+    let v = Zone.Bound.constant b and strict = Zone.Bound.is_strict b in
+    match acc with
+    | Sup_exceeds _ -> acc
+    | Sup_unreached -> Sup (v, strict)
+    | Sup (v0, s0) ->
+      if v > v0 || (v = v0 && s0 && not strict) then Sup (v, strict) else acc
 
 type sup_outcome = {
   so_sup : sup_result;
@@ -1104,18 +1061,8 @@ let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
        | Some _ | None -> Sup_unreached)
   in
   let update st =
-    if pred st then begin
-      let b = Zone.Dbm.sup_clock st.st_zone ci in
-      if Zone.Bound.is_infinite b then best := Sup_exceeds ceiling
-      else begin
-        let v = Zone.Bound.constant b and strict = Zone.Bound.is_strict b in
-        match !best with
-        | Sup_exceeds _ -> ()
-        | Sup_unreached -> best := Sup (v, strict)
-        | Sup (v0, s0) ->
-          if v > v0 || (v = v0 && s0 && not strict) then best := Sup (v, strict)
-      end
-    end;
+    if pred st then
+      best := fold_sup ~ceiling !best (Zone.Dbm.sup_clock st.st_zone ci);
     `Continue
   in
   let label = "sup:" ^ clock in
@@ -1141,7 +1088,7 @@ let pp_sup_result ppf = function
    states -- no successors but unbounded delay -- are not timelocks. *)
 let find_timelock ?ctl t =
   let time_blocked st =
-    no_delay_present t st.st_locs
+    no_delay_present t.comp st.st_locs
     ||
     let z = st.st_zone in
     let dim = Zone.Dbm.dim z in
@@ -1196,105 +1143,67 @@ let pp_timed_step ppf step =
    different search (e.g. the parallel explorer) can be validated and
    annotated. *)
 let replay t chain =
-    let tclock = "psv_abs_time" in
-    let comp =
-      Compiled.compile ~extra_clocks:[ tclock ] t.comp.Compiled.c_model
-    in
-    let nauts = Array.length comp.Compiled.c_automata in
-    let find_edge ai idx =
-      let a = comp.Compiled.c_automata.(ai) in
-      let hit = ref None in
-      Array.iter
-        (List.iter (fun ce -> if ce.Compiled.ce_index = idx then hit := Some ce))
-        a.Compiled.ca_out;
-      match !hit with
-      | Some ce -> ce
-      | None -> assert false
-    in
-    let invariants locs z =
-      Array.iteri
-        (fun ai li ->
-          apply_dconstraints z
-            comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_inv)
-        locs
-    in
-    let blocked locs =
-      let rec loop ai =
-        ai < nauts
-        && ((match comp.Compiled.c_automata.(ai)
-                     .Compiled.ca_locs.(locs.(ai)).Compiled.cl_kind
-             with
-             | Model.Urgent | Model.Committed -> true
-             | Model.Normal -> false)
-            || loop (ai + 1))
-      in
-      loop 0
-    in
-    let dim = comp.Compiled.c_nclocks + 1 in
-    let ti = Compiled.clock_index comp tclock in
-    let locs =
-      ref (Array.map (fun a -> a.Compiled.ca_initial) comp.Compiled.c_automata)
-    in
-    let vars = ref (Array.copy comp.Compiled.c_var_init) in
-    let z = Zone.Dbm.zero dim in
-    invariants !locs z;
-    if not (blocked !locs) then begin
-      Zone.Dbm.up z;
-      invariants !locs z
-    end;
-    let steps = ref [] in
-    let feasible = ref (not (Zone.Dbm.is_empty z)) in
-    List.iter
-      (fun movers ->
-        if !feasible then begin
-          let movers' =
-            List.map
-              (fun (ai, (ce : Compiled.cedge)) ->
-                (ai, find_edge ai ce.Compiled.ce_index))
-              movers
+  let tclock = "psv_abs_time" in
+  let comp = Compiled.compile ~extra_clocks:[ tclock ] t.comp.Compiled.c_model in
+  let find_edge ai idx =
+    let hit = ref None in
+    Array.iter
+      (List.iter (fun ce -> if ce.Compiled.ce_index = idx then hit := Some ce))
+      comp.Compiled.c_automata.(ai).Compiled.ca_out;
+    match !hit with Some ce -> ce | None -> assert false
+  in
+  let ti = Compiled.clock_index comp tclock in
+  let locs =
+    ref (Array.map (fun a -> a.Compiled.ca_initial) comp.Compiled.c_automata)
+  in
+  let vars = ref (Array.copy comp.Compiled.c_var_init) in
+  let z = Zone.Dbm.zero (comp.Compiled.c_nclocks + 1) in
+  delay_close comp !locs z;
+  let steps = ref [] in
+  let feasible = ref (not (Zone.Dbm.is_empty z)) in
+  List.iter
+    (fun movers ->
+      if !feasible then begin
+        let movers' =
+          List.map
+            (fun (ai, (ce : Compiled.cedge)) ->
+              (ai, find_edge ai ce.Compiled.ce_index))
+            movers
+        in
+        List.iter
+          (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
+          movers';
+        if Zone.Dbm.is_empty z then feasible := false
+        else begin
+          let lo, lo_strict = Zone.Dbm.inf_clock z ti in
+          let hi_bound = Zone.Dbm.sup_clock z ti in
+          let hi =
+            if Zone.Bound.is_infinite hi_bound then None
+            else
+              Some (Zone.Bound.constant hi_bound, Zone.Bound.is_strict hi_bound)
           in
+          steps :=
+            { td_desc = describe t { cd_movers = movers; cd_chan = None };
+              td_earliest = (lo, lo_strict);
+              td_latest = hi }
+            :: !steps;
+          let next_locs = Array.copy !locs in
+          List.iter (fun (ai, ce) -> next_locs.(ai) <- ce.Compiled.ce_dst) movers';
+          vars :=
+            List.fold_left
+              (fun vals (_, ce) ->
+                Compiled.apply_updates comp vals ce.Compiled.ce_updates)
+              !vars movers';
           List.iter
-            (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
+            (fun (_, ce) -> List.iter (Zone.Dbm.reset z) ce.Compiled.ce_resets)
             movers';
+          locs := next_locs;
+          delay_close comp !locs z;
           if Zone.Dbm.is_empty z then feasible := false
-          else begin
-            let lo, lo_strict = Zone.Dbm.inf_clock z ti in
-            let hi_bound = Zone.Dbm.sup_clock z ti in
-            let hi =
-              if Zone.Bound.is_infinite hi_bound then None
-              else
-                Some
-                  (Zone.Bound.constant hi_bound, Zone.Bound.is_strict hi_bound)
-            in
-            steps :=
-              { td_desc =
-                  describe t { cd_movers = movers; cd_chan = None };
-                td_earliest = (lo, lo_strict);
-                td_latest = hi }
-              :: !steps;
-            let next_locs = Array.copy !locs in
-            List.iter
-              (fun (ai, ce) -> next_locs.(ai) <- ce.Compiled.ce_dst)
-              movers';
-            vars :=
-              List.fold_left
-                (fun vals (_, ce) ->
-                  Compiled.apply_updates comp vals ce.Compiled.ce_updates)
-                !vars movers';
-            List.iter
-              (fun (_, ce) -> List.iter (Zone.Dbm.reset z) ce.Compiled.ce_resets)
-              movers';
-            locs := next_locs;
-            invariants !locs z;
-            if not (blocked !locs) then begin
-              Zone.Dbm.up z;
-              invariants !locs z
-            end;
-            if Zone.Dbm.is_empty z then feasible := false
-          end
-        end)
-      chain;
-    if !feasible then Some (List.rev !steps) else None
+        end
+      end)
+    chain;
+  if !feasible then Some (List.rev !steps) else None
 
 let timed_trace t pred =
   let visit st = if pred st then `Stop else `Continue in

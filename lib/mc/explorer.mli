@@ -42,19 +42,10 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 (** {1 Progress reporting}
 
-    All searches report through one stats hook, called every 1000
-    visited states.  The default hook prints to stderr when
-    [PSV_MC_PROGRESS] is set in the environment (checked once, not per
-    state); {!set_progress_hook} replaces it for embedding (TUIs,
-    logging, cancellation timers). *)
-
-type progress = {
-  pr_visited : int;  (** states popped and expanded so far *)
-  pr_stored : int;   (** states stored so far (after subsumption) *)
-  pr_queue : int;    (** current waiting-queue length *)
-}
-
-val set_progress_hook : (progress -> unit) option -> unit
+    With [PSV_MC_PROGRESS] set in the environment (checked once, not per
+    state), the sequential search prints
+    [[mc] visited N stored N queue N] to stderr every 1000 visited
+    states.  Parallel searches ({!Parsearch}) stay silent. *)
 
 (** {1 Snapshots}
 
@@ -152,15 +143,19 @@ val reachable :
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> t -> (state -> bool) -> reach_result
 
-(** [safe t pred] is [A[] not pred]: [Proved] when no reachable state
-    satisfies [pred], [Refuted] with the witness trace otherwise,
-    [Unknown] when interrupted first. *)
-val safe : ?ctl:Runctl.t -> t -> (state -> bool) -> verdict * stats
-
 type sup_result =
   | Sup_unreached          (** no reachable state satisfies the predicate *)
   | Sup of int * bool      (** supremum value; [true] means strict ([< v]) *)
   | Sup_exceeds of int     (** the supremum exceeds the clock's ceiling *)
+
+(** [fold_sup ~ceiling acc b] is the running sup [acc] after one more
+    state whose clock supremum is the DBM bound [b]: an infinite [b]
+    gives [Sup_exceeds ceiling], a larger value (or an equal non-strict
+    one) replaces [acc].  The one fold behind every sup search —
+    sequential, per parallel worker and the final merge of the
+    workers' sups.  Returns [acc] physically unchanged when the sup
+    does not move, so that path allocates nothing. *)
+val fold_sup : ceiling:int -> sup_result -> Zone.Bound.t -> sup_result
 
 (** The result of a governed sup-query.  On interruption [so_sup] is the
     sup over the states explored so far — a valid {e lower} bound on the
@@ -281,9 +276,9 @@ val candidates : t -> state -> candidate list
 
 (** [fire t pool st cd] applies candidate [cd] to [st]: guards,
     location/variable updates, monitor step, resets, activity reduction,
-    target invariants, delay closure and extrapolation.  [None] when the
-    successor zone is empty (the scratch zone returns to [pool]); the
-    returned state's zone is owned by the caller. *)
+    target invariants, delay closure and extrapolation (in place).
+    [None] when the successor zone is empty (the scratch zone returns to
+    [pool]); the returned state's zone is owned by the caller. *)
 val fire : t -> Zone.Dbm.Pool.t -> state -> candidate -> state option
 
 (** The result of {!fire_pre}.  [Fired_dead] means the successor zone
@@ -305,7 +300,9 @@ type fired =
 
 (** [fire] with the pre-extrapolation successor zone exposed — the
     recording primitive of the incremental explorer ([Incr.Delta]).
-    Identical pipeline and zone results to {!fire}. *)
+    Runs the same pipeline as {!fire} (one implementation), takes
+    {!Zone.Dbm.to_ints} of the zone and only then extrapolates, so
+    [fl_state] equals what {!fire} returns. *)
 val fire_pre : t -> Zone.Dbm.Pool.t -> state -> candidate -> fired
 
 (** [admit_pre t ~locs ~vars ~mon ~pre] rebuilds a successor recorded by

@@ -126,13 +126,6 @@ type stop_state =
   | Interrupted of Runctl.reason
   | Crashed of exn * string  (* exception + backtrace of the first crash *)
 
-type par_result = {
-  pr_chain : (int * Compiled.cedge) list list option;
-  pr_stats : Explorer.stats;
-  pr_interrupt : Runctl.reason option;
-  pr_snapshot : Explorer.snapshot option;
-}
-
 let chain_of entry =
   let rec walk acc e =
     match e.p_parent with
@@ -810,71 +803,59 @@ let run_parallel ~jobs ?ctl ?order ?resume ?snapshot_label
       if b = "" then Printexc.to_string exn
       else Printexc.to_string exn ^ "\n" ^ b
     in
-    { pr_chain = None;
-      pr_stats = stats;
-      pr_interrupt = Some (Runctl.Crash diag);
-      pr_snapshot = None }
+    { Explorer.sr_chain = None;
+      sr_stats = stats;
+      sr_interrupt = Some (Runctl.Crash diag);
+      sr_snapshot = None }
   | Found e ->
-    { pr_chain = Some (chain_of e);
-      pr_stats = stats;
-      pr_interrupt = None;
-      pr_snapshot = None }
+    { sr_chain = Some (chain_of e);
+      sr_stats = stats;
+      sr_interrupt = None;
+      sr_snapshot = None }
   | Interrupted r ->
-    { pr_chain = None;
-      pr_stats = stats;
-      pr_interrupt = Some r;
-      pr_snapshot = Option.map build_snapshot snapshot_label }
+    { sr_chain = None;
+      sr_stats = stats;
+      sr_interrupt = Some r;
+      sr_snapshot = Option.map build_snapshot snapshot_label }
   | Running ->
-    { pr_chain = None;
-      pr_stats = stats;
-      pr_interrupt = None;
-      pr_snapshot = None }
+    { sr_chain = None;
+      sr_stats = stats;
+      sr_interrupt = None;
+      sr_snapshot = None }
 
 (* --- queries ----------------------------------------------------------- *)
 
-let find_chain ~jobs ?ctl t pred =
-  if jobs <= 1 then begin
-    let r =
-      Explorer.search ?ctl ~label:"reachable" t (fun st ->
-          if pred st then `Stop else `Continue)
-    in
-    { pr_chain = r.Explorer.sr_chain;
-      pr_stats = r.Explorer.sr_stats;
-      pr_interrupt = r.Explorer.sr_interrupt;
-      pr_snapshot = r.Explorer.sr_snapshot }
-  end
-  else
-    run_parallel ~jobs ?ctl t (fun _ st ->
-        if pred st then `Stop else `Continue)
+(* [expand] is a hook of the sequential search loop; the sharded store
+   has no equivalent, so it is refused rather than silently ignored. *)
+let check_sequential ~jobs expand =
+  if jobs > 1 && Option.is_some expand then
+    invalid_arg "Parsearch: an expand hook runs on the sequential path only"
 
-let reachable ?(jobs = 1) ?ctl t pred =
-  let r = find_chain ~jobs ?ctl t pred in
-  { Explorer.r_trace = Option.map (Explorer.describe_chain t) r.pr_chain;
-    r_stats = r.pr_stats;
-    r_interrupt = r.pr_interrupt }
+let find_chain ~jobs ?expand ?ctl t pred =
+  check_sequential ~jobs expand;
+  let visit st = if pred st then `Stop else `Continue in
+  if jobs <= 1 then Explorer.search ?expand ?ctl ~label:"reachable" t visit
+  else run_parallel ~jobs ?ctl t (fun _ st -> visit st)
 
-let safe ?jobs ?ctl t pred =
-  let r = reachable ?jobs ?ctl t pred in
-  match r.Explorer.r_trace, r.Explorer.r_interrupt with
-  | Some trace, _ -> (Explorer.Refuted (Some trace), r.Explorer.r_stats)
-  | None, Some reason -> (Explorer.Unknown reason, r.Explorer.r_stats)
-  | None, None -> (Explorer.Proved, r.Explorer.r_stats)
+let reachable ?(jobs = 1) ?expand ?ctl t pred =
+  let r = find_chain ~jobs ?expand ?ctl t pred in
+  { Explorer.r_trace = Option.map (Explorer.describe_chain t) r.Explorer.sr_chain;
+    r_stats = r.Explorer.sr_stats;
+    r_interrupt = r.Explorer.sr_interrupt }
 
-(* Per-worker running sup, merged by max at the end.  [Sup_exceeds]
-   dominates; at equal values the non-strict bound wins (a [<= v] is a
-   weaker claim than [< v], matching the sequential update order). *)
-let merge_sup a b =
-  match a, b with
-  | Explorer.Sup_exceeds c, _ | _, Explorer.Sup_exceeds c ->
-    Explorer.Sup_exceeds c
-  | Explorer.Sup_unreached, x | x, Explorer.Sup_unreached -> x
-  | Explorer.Sup (v1, s1), Explorer.Sup (v2, s2) ->
-    if v1 > v2 then Explorer.Sup (v1, s1)
-    else if v2 > v1 then Explorer.Sup (v2, s2)
-    else Explorer.Sup (v1, s1 && s2)
+(* Per-worker running sups, merged at the end through the same fold as
+   a single search ({!Explorer.fold_sup}): [Sup_exceeds] dominates; at
+   equal values the non-strict bound wins. *)
+let merge_sup ~ceiling acc = function
+  | Explorer.Sup_unreached -> acc
+  | Explorer.Sup (v, strict) ->
+    Explorer.fold_sup ~ceiling acc
+      (if strict then Zone.Bound.lt v else Zone.Bound.le v)
+  | Explorer.Sup_exceeds _ -> Explorer.fold_sup ~ceiling acc Zone.Bound.infinity
 
-let sup_clock ?(jobs = 1) ?ctl ?resume t ~pred ~clock =
-  if jobs <= 1 then Explorer.sup_clock ?ctl ?resume t ~pred ~clock
+let sup_clock ?(jobs = 1) ?expand ?ctl ?resume t ~pred ~clock =
+  check_sequential ~jobs expand;
+  if jobs <= 1 then Explorer.sup_clock ?expand ?ctl ?resume t ~pred ~clock
   else begin
     let ci, ceiling = Explorer.monitor_clock_info t clock in
     let label = "sup:" ^ clock in
@@ -896,24 +877,15 @@ let sup_clock ?(jobs = 1) ?ctl ?resume t ~pred ~clock =
     let visit w (st : Explorer.state) =
       if pred st then begin
         let best = bests.(w) in
-        let b = Zone.Dbm.sup_clock st.Explorer.st_zone ci in
-        if Zone.Bound.is_infinite b then best := Explorer.Sup_exceeds ceiling
-        else begin
-          let v = Zone.Bound.constant b
-          and strict = Zone.Bound.is_strict b in
-          match !best with
-          | Explorer.Sup_exceeds _ -> ()
-          | Explorer.Sup_unreached -> best := Explorer.Sup (v, strict)
-          | Explorer.Sup (v0, s0) ->
-            if v > v0 || (v = v0 && s0 && not strict) then
-              best := Explorer.Sup (v, strict)
-        end
+        best :=
+          Explorer.fold_sup ~ceiling !best
+            (Zone.Dbm.sup_clock st.Explorer.st_zone ci)
       end;
       `Continue
     in
     let merged () =
       Array.fold_left
-        (fun acc best -> merge_sup acc !best)
+        (fun acc best -> merge_sup ~ceiling acc !best)
         Explorer.Sup_unreached bests
     in
     (* max-delay-first: explore high monitor-clock suprema before low
@@ -929,11 +901,11 @@ let sup_clock ?(jobs = 1) ?ctl ?resume t ~pred ~clock =
         visit
     in
     { Explorer.so_sup = merged ();
-      so_stats = r.pr_stats;
-      so_interrupt = r.pr_interrupt;
-      so_snapshot = r.pr_snapshot }
+      so_stats = r.Explorer.sr_stats;
+      so_interrupt = r.Explorer.sr_interrupt;
+      so_snapshot = r.Explorer.sr_snapshot }
   end
 
 let timed_witness ?(jobs = 1) ?ctl t pred =
   let r = find_chain ~jobs ?ctl t pred in
-  Option.bind r.pr_chain (Explorer.replay t)
+  Option.bind r.Explorer.sr_chain (Explorer.replay t)

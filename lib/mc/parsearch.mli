@@ -42,7 +42,7 @@
 
     [jobs <= 1] delegates to the sequential {!Explorer.search}
     byte-identically — same visited/stored counts, same snapshots.
-    Parallel runs do not call the progress hook.
+    Parallel runs print no [PSV_MC_PROGRESS] lines.
 
     {b Checkpoints.}  An interrupted parallel [sup_clock] emits a
     PSVSNAP2 snapshot, same format as the sequential one: the fleet
@@ -78,26 +78,32 @@ val recommended_jobs : unit -> int
 (** [reachable ~jobs t pred] is {!Explorer.reachable} on [jobs]
     domains.  The witness trace, when present, is feasible (it is a
     real path of the zone graph) but need not be the one the
-    sequential search finds. *)
+    sequential search finds.  [expand] is the sequential search's
+    successor hook ({!Explorer.search}); it is honoured at [jobs <= 1]
+    only.
+    @raise Invalid_argument when [expand] is given with [jobs > 1]. *)
 val reachable :
-  ?jobs:int -> ?ctl:Runctl.t ->
+  ?jobs:int ->
+  ?expand:(Zone.Dbm.Pool.t -> Explorer.state ->
+           (Explorer.candidate * Explorer.state option) list) ->
+  ?ctl:Runctl.t ->
   Explorer.t -> (Explorer.state -> bool) -> Explorer.reach_result
-
-(** [safe ~jobs t pred] is {!Explorer.safe} on [jobs] domains. *)
-val safe :
-  ?jobs:int -> ?ctl:Runctl.t ->
-  Explorer.t -> (Explorer.state -> bool) -> Explorer.verdict * Explorer.stats
 
 (** [sup_clock ~jobs t ~pred ~clock] is {!Explorer.sup_clock} on [jobs]
     domains: each worker folds a private running sup over the states it
-    stores, and the per-worker results merge by max ([Sup_exceeds]
-    dominates; at equal values a non-strict bound beats a strict one).
-    [resume] continues an interrupted run (sequential- or
-    parallel-written snapshot alike); an interrupted run carries a
-    snapshot in [so_snapshot].
-    @raise Invalid_argument when the snapshot does not match. *)
+    stores, and the per-worker results merge through the same
+    {!Explorer.fold_sup} ([Sup_exceeds] dominates; at equal values a
+    non-strict bound beats a strict one).  [resume] continues an
+    interrupted run (sequential- or parallel-written snapshot alike); an
+    interrupted run carries a snapshot in [so_snapshot].  [expand] as in
+    {!reachable}: sequential only.
+    @raise Invalid_argument when the snapshot does not match, or when
+    [expand] is given with [jobs > 1]. *)
 val sup_clock :
-  ?jobs:int -> ?ctl:Runctl.t -> ?resume:Explorer.snapshot ->
+  ?jobs:int ->
+  ?expand:(Zone.Dbm.Pool.t -> Explorer.state ->
+           (Explorer.candidate * Explorer.state option) list) ->
+  ?ctl:Runctl.t -> ?resume:Explorer.snapshot ->
   Explorer.t -> pred:(Explorer.state -> bool) -> clock:string ->
   Explorer.sup_outcome
 

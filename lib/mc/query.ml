@@ -70,7 +70,10 @@ let tokenize text =
           else j
         in
         let j = stop i in
-        emit (Num (int_of_string (String.sub text i (j - i))));
+        let lit = String.sub text i (j - i) in
+        (match int_of_string_opt lit with
+         | Some v -> emit (Num v)
+         | None -> fail "integer literal %s is out of range" lit);
         scan j
       | c when is_word c ->
         let rec stop j = if j < n && is_word text.[j] then stop (j + 1) else j in
@@ -232,72 +235,69 @@ let compile_pred t p =
   in
   build p
 
-let delay_monitor_clock = "psv_query_mon"
+let delay_monitor_clock = "psv_delay_mon"
 
-let eval ?(jobs = 1) ?ctl ?limit net q =
-  match q with
-  | Exists_eventually p ->
-    let t = Explorer.make ?limit net in
-    let r = Parsearch.reachable ~jobs ?ctl t (compile_pred t p) in
-    let outcome =
-      match r.Explorer.r_trace, r.Explorer.r_interrupt with
-      | Some _, _ -> Holds  (* a witness is a witness, budget or not *)
-      | None, Some reason -> Unknown (reason, None)
-      | None, None -> Fails None
-    in
-    { res_outcome = outcome; res_stats = r.Explorer.r_stats }
-  | Always p ->
-    let t = Explorer.make ?limit net in
-    let r =
-      Parsearch.reachable ~jobs ?ctl t (fun st -> not (compile_pred t p st))
-    in
-    let outcome =
-      match r.Explorer.r_trace, r.Explorer.r_interrupt with
-      | Some trace, _ -> Fails (Some trace)
-      | None, Some reason -> Unknown (reason, None)
-      | None, None -> Holds
-    in
-    { res_outcome = outcome; res_stats = r.Explorer.r_stats }
-  | Sup_delay { trigger; response; ceiling } ->
+let explorer ?limit net = function
+  | Exists_eventually _ | Always _ -> Explorer.make ?limit net
+  | Sup_delay { trigger; response; ceiling }
+  | Bounded_response { trigger; response; bound = ceiling } ->
     let monitor =
       Monitor.delay ~trigger ~response ~clock:delay_monitor_clock ~ceiling ()
     in
-    let t = Explorer.make ?limit ~monitor net in
-    let o =
-      Parsearch.sup_clock ~jobs ?ctl t
-        ~pred:(Explorer.mon_in t "Waiting")
-        ~clock:delay_monitor_clock
-    in
-    let outcome =
-      match o.Explorer.so_interrupt with
-      | Some reason -> Unknown (reason, Some o.Explorer.so_sup)
-      | None -> Sup o.Explorer.so_sup
-    in
-    { res_outcome = outcome; res_stats = o.Explorer.so_stats }
-  | Bounded_response { trigger; response; bound } ->
-    let monitor =
-      Monitor.delay ~trigger ~response ~clock:delay_monitor_clock
-        ~ceiling:bound ()
-    in
-    let t = Explorer.make ?limit ~monitor net in
-    let o =
-      Parsearch.sup_clock ~jobs ?ctl t
-        ~pred:(Explorer.mon_in t "Waiting")
-        ~clock:delay_monitor_clock
-    in
-    let outcome =
-      match o.Explorer.so_interrupt, o.Explorer.so_sup with
-      | None, Explorer.Sup_unreached -> Holds
-      | None, Explorer.Sup (v, _) ->
-        if v <= bound then Holds else Fails None
-      | None, Explorer.Sup_exceeds _ -> Fails None
-      (* the partial sup only grows with more exploration, so a partial
-         value already past the bound refutes even under interruption *)
-      | Some _, Explorer.Sup (v, _) when v > bound -> Fails None
-      | Some _, Explorer.Sup_exceeds _ -> Fails None
-      | Some reason, partial -> Unknown (reason, Some partial)
-    in
-    { res_outcome = outcome; res_stats = o.Explorer.so_stats }
+    Explorer.make ?limit ~monitor net
+
+let delay_sup ?jobs ?expand ?ctl ?resume t =
+  Parsearch.sup_clock ?jobs ?expand ?ctl ?resume t
+    ~pred:(Explorer.mon_in t "Waiting")
+    ~clock:delay_monitor_clock
+
+let bounded_verdict interrupt sup bound =
+  match interrupt, sup with
+  | None, Explorer.Sup_unreached -> Explorer.Proved  (* the trigger never fires *)
+  | None, Explorer.Sup (v, _) ->
+    if v <= bound then Explorer.Proved else Explorer.Refuted None
+  | None, Explorer.Sup_exceeds _ -> Explorer.Refuted None
+  (* the partial sup only grows with more exploration, so a partial
+     value already past the bound refutes even under interruption *)
+  | Some _, Explorer.Sup (v, _) when v > bound -> Explorer.Refuted None
+  | Some _, Explorer.Sup_exceeds _ -> Explorer.Refuted None
+  | Some reason, _ -> Explorer.Unknown reason
+
+let run ?(jobs = 1) ?expand ?ctl t q =
+  let reach pred = Parsearch.reachable ~jobs ?expand ?ctl t pred in
+  let res_outcome, res_stats =
+    match q with
+    | Exists_eventually p ->
+      let r = reach (compile_pred t p) in
+      ( (match r.Explorer.r_trace, r.Explorer.r_interrupt with
+         | Some _, _ -> Holds  (* a witness is a witness, budget or not *)
+         | None, Some reason -> Unknown (reason, None)
+         | None, None -> Fails None),
+        r.Explorer.r_stats )
+    | Always p ->
+      let holds = compile_pred t p in
+      let r = reach (fun st -> not (holds st)) in
+      ( (match r.Explorer.r_trace, r.Explorer.r_interrupt with
+         | Some trace, _ -> Fails (Some trace)
+         | None, Some reason -> Unknown (reason, None)
+         | None, None -> Holds),
+        r.Explorer.r_stats )
+    | Sup_delay _ | Bounded_response _ ->
+      let o = delay_sup ~jobs ?expand ?ctl t in
+      let sup = o.Explorer.so_sup and interrupt = o.Explorer.so_interrupt in
+      ( (match q, interrupt with
+         | Bounded_response { bound; _ }, _ ->
+           (match bounded_verdict interrupt sup bound with
+            | Explorer.Proved -> Holds
+            | Explorer.Refuted _ -> Fails None
+            | Explorer.Unknown reason -> Unknown (reason, Some sup))
+         | _, Some reason -> Unknown (reason, Some sup)
+         | _, None -> Sup sup),
+        o.Explorer.so_stats )
+  in
+  { res_outcome; res_stats }
+
+let eval ?jobs ?ctl ?limit net q = run ?jobs ?ctl (explorer ?limit net q) q
 
 let pp_outcome ppf = function
   | Holds -> Fmt.string ppf "holds"

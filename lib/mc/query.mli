@@ -63,16 +63,63 @@ val parse : string -> (t, string) Stdlib.result
     store's cache key. *)
 val to_string : t -> string
 
-(** [eval net q] builds the needed explorer (with a delay monitor for the
-    timed queries) and evaluates under the optional [ctl] govern token.
-    [jobs] (default 1) selects the number of exploration domains; with
-    [jobs > 1] evaluation goes through {!Parsearch} — same outcome,
-    order-dependent statistics (see {!Parsearch}).
-    @raise Ta.Compiled.Compile_error on an
-    invalid network, [Not_found] if the query names an unknown process,
-    location or variable. *)
+(** {1 Evaluation}
+
+    The one place a query becomes a search: {!explorer} builds the
+    explorer (composing the delay monitor for the timed queries), {!run}
+    searches it and reads the outcome.  Every evaluating layer — the
+    CLI, the result store, the serve tier, the incremental explorer and
+    the Table-I driver — goes through these. *)
+
+(** [explorer ?limit net q] is the explorer [q] is evaluated on: a plain
+    one for [E<>]/[A[]], one with a {!Monitor.delay} over
+    {!delay_monitor_clock} (ceiling: the query's ceiling or bound) for
+    [sup:]/[bounded:].
+    @raise Ta.Compiled.Compile_error on an invalid network, [Not_found]
+    if a timed query names an unknown channel. *)
+val explorer : ?limit:int -> Ta.Model.network -> t -> Explorer.t
+
+(** [run t q] evaluates [q] on [t] (built by {!explorer} for the same
+    query) under the optional [ctl] govern token.  [jobs] (default 1)
+    selects the number of exploration domains; with [jobs > 1] the
+    search goes through {!Parsearch} — same outcome, order-dependent
+    statistics (see {!Parsearch}).  [expand] replaces successor
+    generation of the sequential search ({!Explorer.search}), e.g. with
+    the recording or replaying expansion of [Incr.Delta]; it is honoured
+    on the sequential path only.
+    @raise Invalid_argument when [expand] is given with [jobs > 1];
+    [Not_found] if the query names an unknown process, location or
+    variable. *)
+val run :
+  ?jobs:int ->
+  ?expand:(Zone.Dbm.Pool.t -> Explorer.state ->
+           (Explorer.candidate * Explorer.state option) list) ->
+  ?ctl:Runctl.t -> Explorer.t -> t -> result
+
+(** [eval ?limit net q] is [run (explorer ?limit net q) q]. *)
 val eval :
   ?jobs:int -> ?ctl:Runctl.t -> ?limit:int -> Ta.Model.network -> t -> result
+
+(** [delay_sup t] is the sup search of the timed queries on an explorer
+    built by {!explorer}: the supremum of {!delay_monitor_clock} over
+    the monitor's [Waiting] states, through {!Parsearch.sup_clock}
+    ([resume] continues an interrupted run from its snapshot).  Exposed
+    for callers that need the snapshot ({!run} drops it). *)
+val delay_sup :
+  ?jobs:int ->
+  ?expand:(Zone.Dbm.Pool.t -> Explorer.state ->
+           (Explorer.candidate * Explorer.state option) list) ->
+  ?ctl:Runctl.t -> ?resume:Explorer.snapshot -> Explorer.t ->
+  Explorer.sup_outcome
+
+(** [bounded_verdict interrupt sup bound] is the requirement
+    [P(bound)] judged from a sup search: [Proved] when the sup stays
+    within [bound] (or the trigger never fires), [Refuted] when it
+    exceeds it — also under interruption, since a partial sup only grows
+    with more exploration — and [Unknown] otherwise.  The ladder behind
+    [bounded:] queries and [psv verify --bound]. *)
+val bounded_verdict :
+  Runctl.reason option -> Explorer.sup_result -> int -> Explorer.verdict
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
@@ -81,8 +128,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
     @raise Not_found on unknown names. *)
 val compile_pred : Explorer.t -> pred -> Explorer.state -> bool
 
-(** The reserved clock name of the delay monitor {!eval} composes for
-    the timed queries — exposed so an alternative evaluation engine
-    (the incremental explorer) builds a monitor with the identical
-    fingerprint. *)
+(** The reserved clock name of the delay monitor {!explorer} composes
+    for the timed queries.  It is part of the explorer's fingerprint, so
+    checkpoints ({!Explorer.snapshot}) resume only under the same name. *)
 val delay_monitor_clock : string

@@ -73,7 +73,12 @@ let tokenize input =
       | c when is_digit c ->
         let rec stop j = if j < n && is_digit input.[j] then stop (j + 1) else j in
         let j = stop i in
-        emit (INT (int_of_string (String.sub input i (j - i))));
+        let lit = String.sub input i (j - i) in
+        (match int_of_string_opt lit with
+         | Some v -> emit (INT v)
+         | None ->
+           raise
+             (Lex_error (!line, Fmt.str "integer literal %s is out of range" lit)));
         scan j
       | c when is_ident_start c ->
         let rec stop j =

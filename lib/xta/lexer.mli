@@ -20,7 +20,8 @@ exception Lex_error of int * string
 (** line number and message *)
 
 (** Tokenise a whole input.  [//] line comments are skipped.
-    @raise Lex_error on an unexpected character. *)
+    @raise Lex_error on an unexpected character or an integer literal
+    that does not fit an [int]. *)
 val tokenize : string -> (token * int) list
 (** Each token is paired with its line number, for error reporting. *)
 

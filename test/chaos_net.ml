@@ -209,6 +209,34 @@ let test_matches_batch () =
     (Alcotest.(check string) "batch and socket responses are byte-identical")
     batch_out socket_out
 
+(* --- an overflowing integer literal is one error frame, not an outage ----- *)
+
+(* [int_of_string] on a literal past [max_int] used to raise out of the
+   query tokenizer and take the whole listener down; now the bad line
+   gets a diagnosed error frame and the same connection keeps going. *)
+let test_hostile_literal () =
+  let outcome, () =
+    with_server (fun path _drain ->
+        let cl = connect path in
+        Fun.protect
+          ~finally:(fun () -> close cl)
+          (fun () ->
+            send_line cl
+              (request ~id:1 "sup: a -> b ceiling 99999999999999999999");
+            let bad = parse_response (recv_line cl) in
+            Alcotest.(check string) "bad line: error frame" "error"
+              (status bad);
+            Alcotest.(check bool) "error names the literal" true
+              (contains ~sub:"99999999999999999999" (str (member "error" bad)));
+            send_line cl (request ~id:2 "sup: a -> b ceiling 100");
+            let good = parse_response (recv_line cl) in
+            Alcotest.(check string) "next line on the same connection: ok"
+              "ok" (status good);
+            Alcotest.(check int) "answer carries its id" 2 (int_id good)))
+  in
+  Alcotest.(check int) "both lines answered" 2
+    outcome.Analysis.Netserve.no_served
+
 (* --- many concurrent connections share the pool and the cache -------------- *)
 
 let test_concurrent_conns () =
@@ -598,6 +626,7 @@ let suite =
   [ Alcotest.test_case "batch and socket byte-identical" `Quick
       test_matches_batch;
     Alcotest.test_case "concurrent connections" `Quick test_concurrent_conns;
+    Alcotest.test_case "hostile integer literal" `Quick test_hostile_literal;
     Alcotest.test_case "disconnect mid-request" `Slow
       test_disconnect_mid_request;
     Alcotest.test_case "slowloris read deadline" `Quick test_slowloris;

@@ -104,6 +104,54 @@ let test_ok_and_cached () =
       Alcotest.(check bool) "outcome present" true
         (str (member "kind" (member "outcome" r1)) = "holds"))
 
+(* --- integer literals past max_int: diagnosed, and the batch goes on ------- *)
+
+let hostile_model_text =
+  Chaos_store.model_text |> String.split_on_char '\n'
+  |> List.map (fun l ->
+         if String.trim l = "Busy { x <= 5 };" then
+           "    Busy { x <= 99999999999999999999 };"
+         else l)
+  |> String.concat "\n"
+
+let test_hostile_literal () =
+  let load_model = function
+    | "huge" -> Xta.Parse.network hostile_model_text
+    | name -> load_model name
+  in
+  let input =
+    ref
+      [ request ~id:1 "sup: a -> b ceiling 99999999999999999999";
+        request ~id:2 ~model:"huge" "E<> P.Busy";
+        request ~id:3 "sup: a -> b ceiling 100" ]
+  in
+  let out = ref [] in
+  let read_line () =
+    match !input with
+    | [] -> None
+    | l :: rest ->
+      input := rest;
+      Some l
+  in
+  let outcome =
+    Analysis.Serve.run Analysis.Serve.default_config ~load_model ~read_line
+      ~write_line:(fun s -> out := s :: !out)
+      ()
+  in
+  match List.rev_map parse_response !out with
+  | [ q; m; ok ] ->
+    List.iter
+      (fun (label, j) ->
+        Alcotest.(check string) (label ^ ": error frame") "error" (status j);
+        let msg = str (member "error" j) in
+        Alcotest.(check bool) (label ^ ": names the literal") true
+          (Chaos_net.contains ~sub:"99999999999999999999 is out of range" msg))
+      [ ("query", q); ("model", m) ];
+    Alcotest.(check string) "the next request is answered" "ok" (status ok);
+    Alcotest.(check bool) "stopped at eof" true
+      (outcome.Analysis.Serve.sv_stop = Analysis.Serve.Eof)
+  | out -> Alcotest.failf "expected 3 responses, got %d" (List.length out)
+
 (* --- the error taxonomy: one bad request, one JSON error, next please ----- *)
 
 let test_error_taxonomy () =
@@ -269,6 +317,7 @@ let test_degraded_flag () =
 let suite =
   [ Alcotest.test_case "ok and cached" `Quick test_ok_and_cached;
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
+    Alcotest.test_case "hostile integer literal" `Quick test_hostile_literal;
     Alcotest.test_case "line hygiene" `Quick test_line_hygiene;
     Alcotest.test_case "request timeout" `Quick test_request_timeout;
     Alcotest.test_case "max errors trip wire" `Quick test_max_errors;

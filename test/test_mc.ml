@@ -277,18 +277,19 @@ let test_sup_lower_bound_exact () =
    | Mc.Explorer.Sup (v, _) -> Alcotest.(check int) "deterministic delay" 5 v
    | _ -> Alcotest.fail "expected a bounded sup")
 
+(* [A[] not P.B] through the query evaluator: refuted with a non-empty
+   counterexample when B is reachable, proved when it is not. *)
 let test_safe () =
-  let t = Mc.Explorer.make (one_step ~lo:5) in
-  let v, _ = Mc.Explorer.safe t (Mc.Explorer.at t ~aut:"P" ~loc:"B") in
-  (match v with
-   | Mc.Explorer.Refuted (Some trace) ->
+  let never_b = Mc.Query.Always (Mc.Query.Not (Mc.Query.At ("P", "B"))) in
+  (match (Mc.Query.eval (one_step ~lo:5) never_b).Mc.Query.res_outcome with
+   | Mc.Query.Fails (Some trace) ->
      Alcotest.(check bool) "counterexample non-empty" true (trace <> [])
-   | Mc.Explorer.Refuted None -> Alcotest.fail "refutation lost its trace"
-   | Mc.Explorer.Proved | Mc.Explorer.Unknown _ ->
+   | Mc.Query.Fails None -> Alcotest.fail "refutation lost its trace"
+   | Mc.Query.Holds | Mc.Query.Sup _ | Mc.Query.Unknown _ ->
      Alcotest.fail "B is reachable so not safe");
-  let t2 = Mc.Explorer.make (one_step ~lo:11) in
-  let v2, _ = Mc.Explorer.safe t2 (Mc.Explorer.at t2 ~aut:"P" ~loc:"B") in
-  Alcotest.(check bool) "B unreachable so safe" true (v2 = Mc.Explorer.Proved)
+  Alcotest.(check bool) "B unreachable so safe" true
+    ((Mc.Query.eval (one_step ~lo:11) never_b).Mc.Query.res_outcome
+     = Mc.Query.Holds)
 
 let test_search_limit () =
   (* An unbounded counter would explode; the limit must interrupt the

@@ -351,17 +351,17 @@ let test_random_networks_cross_jobs () =
     List.init 12 (fun _ -> QCheck.Gen.generate1 ~rand Gen.gen_network)
   in
   let verdict_shape = function
-    | Mc.Explorer.Proved -> "proved"
-    | Mc.Explorer.Refuted _ -> "refuted"
-    | Mc.Explorer.Unknown _ -> "unknown"
+    | Mc.Query.Holds -> "proved"
+    | Mc.Query.Fails _ -> "refuted"
+    | Mc.Query.Sup _ -> "sup"
+    | Mc.Query.Unknown _ -> "unknown"
   in
+  (* every generated automaton has locations L0..L{n-1}, n >= 2 *)
+  let never_b1 = Mc.Query.Always (Mc.Query.Not (Mc.Query.At ("B", "L1"))) in
   List.iteri
     (fun i net ->
       let safe jobs =
-        let t = Mc.Explorer.make net in
-        (* every generated automaton has locations L0..L{n-1}, n >= 2 *)
-        let pred = Mc.Explorer.at t ~aut:"B" ~loc:"L1" in
-        verdict_shape (fst (Mc.Parsearch.safe ~jobs t pred))
+        verdict_shape (Mc.Query.eval ~jobs net never_b1).Mc.Query.res_outcome
       in
       let sup jobs =
         (Analysis.Queries.max_delay ~jobs net ~trigger:"bc" ~response:"bin"
@@ -437,21 +437,24 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+let expect_crash ~jobs ~needle (r : Mc.Explorer.reach_result) =
+  match r.Mc.Explorer.r_trace, r.Mc.Explorer.r_interrupt with
+  | None, Some (Mc.Runctl.Crash diag) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs=%d: diagnosis names the exception" jobs)
+      true (contains diag needle)
+  | _, other ->
+    Alcotest.failf "jobs=%d: expected a crash-diagnosed interrupt, got %a"
+      jobs Fmt.(option Mc.Runctl.pp_reason) other
+
 let test_crash_supervised () =
   let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
   List.iter
     (fun jobs ->
       match
-        Mc.Parsearch.safe ~jobs t (fun _ -> failwith "poisoned predicate")
+        Mc.Parsearch.reachable ~jobs t (fun _ -> failwith "poisoned predicate")
       with
-      | Mc.Explorer.Unknown (Mc.Runctl.Crash diag), _stats ->
-        Alcotest.(check bool)
-          (Printf.sprintf "jobs=%d: diagnosis names the exception" jobs)
-          true
-          (contains diag "poisoned predicate")
-      | v, _ ->
-        Alcotest.failf "jobs=%d: expected a crash-diagnosed Unknown, got %a"
-          jobs Mc.Explorer.pp_verdict v
+      | r -> expect_crash ~jobs ~needle:"poisoned predicate" r
       | exception exn ->
         Alcotest.failf "jobs=%d: crash escaped supervision: %s" jobs
           (Printexc.to_string exn))
@@ -471,15 +474,8 @@ let test_midsearch_crash_quiesces () =
         else false
       in
       let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
-      match Mc.Parsearch.safe ~jobs t pred with
-      | Mc.Explorer.Unknown (Mc.Runctl.Crash diag), _ ->
-        Alcotest.(check bool)
-          (Printf.sprintf "jobs=%d: diagnosis names the exception" jobs)
-          true
-          (contains diag "mid-search crash")
-      | v, _ ->
-        Alcotest.failf "jobs=%d: expected a crash-diagnosed Unknown, got %a"
-          jobs Mc.Explorer.pp_verdict v
+      match Mc.Parsearch.reachable ~jobs t pred with
+      | r -> expect_crash ~jobs ~needle:"mid-search crash" r
       | exception exn ->
         Alcotest.failf "jobs=%d: crash escaped supervision: %s" jobs
           (Printexc.to_string exn))

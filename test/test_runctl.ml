@@ -174,6 +174,47 @@ let test_checkpoint_roundtrip () =
         straight.Analysis.Queries.dr_stats.Mc.Explorer.stored
         resumed.Analysis.Queries.dr_stats.Mc.Explorer.stored)
 
+(* A checkpoint written by an earlier build: a 70-state budget cut of
+   the railroad PSM sup query through [Queries.max_delay] (partial sup
+   <= 25), saved as test/fixtures/railroad_sup_cut70.snap.  It still
+   resumes — the fingerprint covers the delay monitor's clock name — and
+   reaches the uninterrupted sup and statistics (sup <= 57, 2205
+   visited, 2210 stored). *)
+let fixture name =
+  List.find Sys.file_exists
+    [ Filename.concat "fixtures" name;
+      Filename.concat (Filename.concat "test" "fixtures") name ]
+
+let test_old_checkpoint_resumes () =
+  let snap =
+    match Mc.Explorer.load_snapshot (fixture "railroad_sup_cut70.snap") with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "load_snapshot: %s" msg
+  in
+  Alcotest.(check int) "cut at 70 states" 70 (Mc.Explorer.snapshot_visited snap);
+  let straight = railroad_delay () in
+  let resumed = railroad_delay ~resume:snap () in
+  Alcotest.(check bool) "resumed run completes" true
+    (resumed.Analysis.Queries.dr_interrupt = None);
+  Alcotest.(check bool) "uninterrupted sup" true
+    (resumed.Analysis.Queries.dr_sup = straight.Analysis.Queries.dr_sup
+     && straight.Analysis.Queries.dr_sup = Mc.Explorer.Sup (57, false));
+  List.iter
+    (fun (label, get, expected) ->
+      Alcotest.(check int) label expected
+        (get straight.Analysis.Queries.dr_stats);
+      Alcotest.(check int) label expected
+        (get resumed.Analysis.Queries.dr_stats))
+    [ ("visited", (fun s -> s.Mc.Explorer.visited), 2205);
+      ("stored", (fun s -> s.Mc.Explorer.stored), 2210);
+      ("frontier", (fun s -> s.Mc.Explorer.frontier), 0) ];
+  let par =
+    Analysis.Queries.max_delay ~jobs:2 ~resume:snap (railroad_psm ())
+      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
+  in
+  Alcotest.(check bool) "resumes at jobs=2 to the same sup" true
+    (par.Analysis.Queries.dr_sup = straight.Analysis.Queries.dr_sup)
+
 let test_load_snapshot_errors () =
   (match Mc.Explorer.load_snapshot "/nonexistent/psv.snap" with
    | Error _ -> ()
@@ -212,5 +253,7 @@ let suite =
       test_checkpoint_roundtrip;
     Alcotest.test_case "load_snapshot errors" `Quick
       test_load_snapshot_errors;
+    Alcotest.test_case "earlier build's checkpoint resumes" `Quick
+      test_old_checkpoint_resumes;
     Alcotest.test_case "fingerprint mismatch rejected" `Quick
       test_fingerprint_mismatch ]

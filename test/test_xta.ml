@@ -76,6 +76,19 @@ let test_lexer_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "control character accepted"
 
+(* An integer literal past [max_int] is a lexer error with its line,
+   not an escaping [Failure "int_of_string"]. *)
+let test_literal_overflow () =
+  let source =
+    "network x;\nclock c;\nprocess P {\n  state A { c <= \
+     99999999999999999999 };\n  init A;\n}\n"
+  in
+  match Xta.Parse.network source with
+  | Ok _ -> Alcotest.fail "overflowing literal accepted"
+  | Error msg ->
+    Alcotest.(check string) "diagnosis"
+      "line 4: integer literal 99999999999999999999 is out of range" msg
+
 let test_roundtrip_gpca () =
   check_roundtrip "gpca PIM"
     (Gpca.Model.network Gpca.Params.default)
@@ -158,6 +171,7 @@ let suite =
     Alcotest.test_case "errors carry line numbers" `Quick
       test_parse_errors_have_lines;
     Alcotest.test_case "lexer rejects garbage" `Quick test_lexer_rejects_garbage;
+    Alcotest.test_case "integer literal overflow" `Quick test_literal_overflow;
     Alcotest.test_case "round-trip: GPCA PIM" `Quick test_roundtrip_gpca;
     Alcotest.test_case "round-trip: GPCA PSM" `Quick test_roundtrip_gpca_psm;
     Alcotest.test_case "round-trip preserves semantics" `Quick
