@@ -211,9 +211,9 @@ let test_matches_batch () =
 
 (* --- an overflowing integer literal is one error frame, not an outage ----- *)
 
-(* [int_of_string] on a literal past [max_int] used to raise out of the
-   query tokenizer and take the whole listener down; now the bad line
-   gets a diagnosed error frame and the same connection keeps going. *)
+(* A query literal past [max_int] is outside input like any other: it
+   costs its line a diagnosed error frame, never the listener, and the
+   same connection keeps being served. *)
 let test_hostile_literal () =
   let outcome, () =
     with_server (fun path _drain ->
