@@ -67,9 +67,10 @@ val to_string : t -> string
 
     The one place a query becomes a search: {!explorer} builds the
     explorer (composing the delay monitor for the timed queries), {!run}
-    searches it and reads the outcome.  Every evaluating layer — the
-    CLI, the result store, the serve tier, the incremental explorer and
-    the Table-I driver — goes through these. *)
+    searches it and reads the outcome.  The CLI, the result store
+    ([Analysis.Qcache]), the serve tier, the incremental explorer
+    ([Incr.Delta]) and the delay queries of [Analysis.Queries] all go
+    through these. *)
 
 (** [explorer ?limit net q] is the explorer [q] is evaluated on: a plain
     one for [E<>]/[A[]], one with a {!Monitor.delay} over
