@@ -516,7 +516,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
   (* More workers than cores measures scheduler contention, not
      scaling; drop those rows unless explicitly asked to keep them. *)
   let jobs_list =
-    let avail = Mc.Parsearch.recommended_jobs () in
+    let avail = Mc.Explorer.recommended_jobs () in
     if allow_oversubscribe then jobs_list
     else
       List.filter

@@ -192,7 +192,7 @@ let jobs_arg =
 let check_jobs n =
   if n < 0 then die "--jobs must be at least 1 (or 0 for one per core)"
   else begin
-    let avail = Mc.Parsearch.recommended_jobs () in
+    let avail = Mc.Explorer.recommended_jobs () in
     if n = 0 then avail
     else if n > avail then begin
       Fmt.epr
@@ -1545,7 +1545,7 @@ let fuzz_cmd =
                    its true value plus $(docv), so the harness's own \
                    detection and shrinking paths can be demonstrated \
                    end to end.  The injected bug is caught as a jobs \
-                   discrepancy.")
+                   and a reference discrepancy.")
   in
   let run seed count jobs shapes scenarios faults_spec fault_seed shrink
       corpus cache json out skew store_retries =
@@ -1590,11 +1590,21 @@ let fuzz_cmd =
     in
     let n_shapes = List.length shapes in
     let per_shape = Hashtbl.create 4 in
+    (* per shape: instances, discrepancies, of which the naive
+       reference explorer's, wall ms *)
     let bump shape discs ms =
-      let c, d, t =
-        Option.value ~default:(0, 0, 0.0) (Hashtbl.find_opt per_shape shape)
+      let c, d, r, t =
+        Option.value ~default:(0, 0, 0, 0.0) (Hashtbl.find_opt per_shape shape)
       in
-      Hashtbl.replace per_shape shape (c + 1, d + discs, t +. ms)
+      let refs =
+        List.length
+          (List.filter
+             (fun (d : Diff.Oracle.discrepancy) ->
+               d.Diff.Oracle.d_check = Diff.Oracle.Reference)
+             discs)
+      in
+      Hashtbl.replace per_shape shape
+        (c + 1, d + List.length discs, r + refs, t +. ms)
     in
     let discrepant = ref 0 and shrunk = ref 0 in
     let t0 = Unix.gettimeofday () in
@@ -1603,7 +1613,7 @@ let fuzz_cmd =
       let inst = Diff.Gen.instance ~seed ~index shape in
       let v = Diff.Oracle.run cfg inst in
       let discs = v.Diff.Oracle.v_discrepancies in
-      bump shape (List.length discs) v.Diff.Oracle.v_wall_ms;
+      bump shape discs v.Diff.Oracle.v_wall_ms;
       if discs <> [] then incr discrepant;
       if not json then
         List.iter
@@ -1619,8 +1629,8 @@ let fuzz_cmd =
              construction-bound discrepancy is persisted as-is *)
           let shrinkable (d : Diff.Oracle.discrepancy) =
             match d.Diff.Oracle.d_check with
-            | Diff.Oracle.Jobs | Diff.Oracle.Xta | Diff.Oracle.Store_trip
-            | Diff.Oracle.Delta_replay -> true
+            | Diff.Oracle.Jobs | Diff.Oracle.Reference | Diff.Oracle.Xta
+            | Diff.Oracle.Store_trip | Diff.Oracle.Delta_replay -> true
             | Diff.Oracle.Truth | Diff.Oracle.Analytic | Diff.Oracle.Bounded
             | Diff.Oracle.Sim -> false
           in
@@ -1701,7 +1711,7 @@ let fuzz_cmd =
       List.filter_map
         (fun shape ->
           Option.map
-            (fun (c, d, t) -> (Diff.Gen.shape_name shape, c, d, t))
+            (fun (c, d, r, t) -> (Diff.Gen.shape_name shape, c, d, r, t))
             (Hashtbl.find_opt per_shape shape))
         Diff.Gen.all_shapes
     in
@@ -1719,18 +1729,19 @@ let fuzz_cmd =
                    ( "shapes",
                      Obj
                        (List.map
-                          (fun (name, c, d, _) ->
+                          (fun (name, c, d, r, _) ->
                             ( name,
                               Obj
                                 [ ("instances", Int c);
-                                  ("discrepancies", Int d) ] ))
+                                  ("discrepancies", Int d);
+                                  ("reference", Int r) ] ))
                           shape_rows) ) ] ) ])
     else begin
-      Fmt.pr "@.%-12s %10s %14s %10s@." "shape" "instances" "discrepancies"
-        "avg ms";
+      Fmt.pr "@.%-12s %10s %14s %10s %10s@." "shape" "instances"
+        "discrepancies" "reference" "avg ms";
       List.iter
-        (fun (name, c, d, t) ->
-          Fmt.pr "%-12s %10d %14d %10.1f@." name c d
+        (fun (name, c, d, r, t) ->
+          Fmt.pr "%-12s %10d %14d %10d %10.1f@." name c d r
             (t /. float_of_int (max 1 c)))
         shape_rows;
       Fmt.pr "%d instance%s, %d discrepant, %d shrunk, %.1fs (%.1f/s)@."
@@ -1746,11 +1757,12 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differential fuzzing: generate seeded random timed-automata \
              instances with known-by-construction delay bounds and \
-             cross-check every answerer the tool has — sequential \
-             explorer vs ground truth, parallel search at $(b,--jobs) \
-             domains, bounded verdicts on both sides of the sup, \
-             textual round-trip, store round-trip (with $(b,--cache)), \
-             incremental delta replay on a seeded edit, and simulated \
+             cross-check every answerer the tool has — the jobs-1 \
+             explorer vs ground truth, the search at $(b,--jobs) \
+             domains, a naive reference explorer, bounded verdicts on \
+             both sides of the sup, textual round-trip, store \
+             round-trip (with $(b,--cache)), incremental delta replay \
+             on a seeded edit, and simulated \
              measurement for transformed PSM instances.  Any \
              disagreement is a discrepancy; with $(b,--shrink) it is \
              minimised and written into $(b,--corpus) as a replayable \

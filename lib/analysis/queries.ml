@@ -12,9 +12,8 @@ let max_delay ?jobs ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
     Mc.Query.explorer ?limit net
       (Mc.Query.Sup_delay { trigger; response; ceiling })
   in
-  (* Parsearch delegates jobs <= 1 to the sequential path; snapshots
-     use one format either way, so a checkpoint taken at any [jobs]
-     resumes at any other *)
+  (* snapshots have one format at every [jobs], so a checkpoint taken
+     at any [jobs] resumes at any other *)
   let o = Mc.Query.delay_sup ?jobs ?ctl ?resume t in
   { dr_trigger = trigger; dr_response = response;
     dr_sup = o.Mc.Explorer.so_sup;

@@ -23,6 +23,7 @@ type check =
   | Truth
   | Analytic
   | Jobs
+  | Reference
   | Bounded
   | Xta
   | Store_trip
@@ -33,6 +34,7 @@ let check_name = function
   | Truth -> "truth"
   | Analytic -> "analytic"
   | Jobs -> "jobs"
+  | Reference -> "reference"
   | Bounded -> "bounded"
   | Xta -> "xta"
   | Store_trip -> "store"
@@ -43,6 +45,7 @@ let check_of_name = function
   | "truth" -> Some Truth
   | "analytic" -> Some Analytic
   | "jobs" -> Some Jobs
+  | "reference" -> Some Reference
   | "bounded" -> Some Bounded
   | "xta" -> Some Xta
   | "store" -> Some Store_trip
@@ -94,6 +97,15 @@ let core cfg ~net ~q ~seed =
   if o1 <> r2.Mc.Query.res_outcome then
     add Jobs "jobs 1 says %s, jobs %d says %s" (outcome_str o1) cfg.jobs
       (outcome_str r2.Mc.Query.res_outcome);
+  (* naive answerer: shares no search code with the engine *)
+  (match q with
+  | Mc.Query.Sup_delay { trigger; response; ceiling } -> (
+    match Reference.sup net ~trigger ~response ~ceiling with
+    | Some s when Mc.Query.Sup s <> o1 ->
+      add Reference "jobs 1 says %s, the reference explorer says %s"
+        (outcome_str o1) (outcome_str (Mc.Query.Sup s))
+    | Some _ | None -> ())
+  | _ -> ());
   (* textual round-trip: print, reparse, re-verify *)
   (match Xta.Parse.network (Xta.Print.to_string net) with
   | Error msg -> add Xta "printed network does not reparse: %s" msg

@@ -7,8 +7,11 @@
     - {b truth} — the sequential explorer's sup against the generator's
       known-by-construction value ({!Gen.Exact}) or analytic Lemma-2
       window ({!Gen.Between}, reported as the {!Analytic} check);
-    - {b jobs} — {!Mc.Parsearch} at [config.jobs] domains must return
-      the identical outcome (the library's determinism guarantee);
+    - {b jobs} — {!Mc.Explorer.search} at [config.jobs] domains must
+      return the identical outcome (the library's determinism
+      guarantee, over one engine shared by both sides);
+    - {b reference} — the naive {!Reference} explorer (breadth-first,
+      no subsumption, no activity reduction) must find the same sup;
     - {b bounded} — [bounded: t -> r within ub] must hold and
       [within floor - 1] must fail, exercising the verdict path on both
       sides of the sup;
@@ -26,7 +29,7 @@
 
     The [mutation] hook skews one answerer on purpose — the harness's
     own smoke detector: a skewed jobs-1 sup must be caught as a [Jobs]
-    discrepancy and must survive shrinking. *)
+    and a [Reference] discrepancy and must survive shrinking. *)
 
 (** Test-only fault injection: report the jobs-1 sup as [v + k]. *)
 type mutation = Sup_skew of int
@@ -50,6 +53,7 @@ type check =
   | Truth
   | Analytic
   | Jobs
+  | Reference
   | Bounded
   | Xta
   | Store_trip
@@ -72,8 +76,8 @@ type verdict = {
   v_wall_ms : float;
 }
 
-(** The construction-independent answerer pairs (jobs, xta, store,
-    delta) on a bare network + query — the subset that stays meaningful
+(** The construction-independent answerer pairs (jobs, reference, xta,
+    store, delta) on a bare network + query — the subset that stays meaningful
     on shrunk networks, where the generator's truth no longer applies.
     Returns the jobs-1 result, its (possibly mutated) outcome, and the
     discrepancies.  [seed] keys the delta edit.  May raise whatever

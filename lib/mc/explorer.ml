@@ -150,13 +150,10 @@ let make ?(monitor = Monitor.trivial) ?tight ?(limit = default_limit)
 
 let compiled t = t.comp
 
-let state_limit t = t.limit
-
 let fresh_pool t = Zone.Dbm.Pool.create (t.comp.Compiled.c_nclocks + 1)
 
 (* DBM index and exact-reporting ceiling of a (typically monitor) clock,
-   as used by sup queries.  Shared with the parallel explorer so both
-   resolve clock names identically. *)
+   as used by sup queries. *)
 let monitor_clock_info t clock =
   let ci =
     match List.assoc_opt clock t.mon_clock_index with
@@ -482,39 +479,6 @@ let candidates t st =
   done;
   List.rev !acc
 
-(* --- passed/waiting store ---------------------------------------------- *)
-
-(* A stored symbolic state.  Trace information (parent id, movers) lives
-   in a side table indexed by id, so a dead entry pins no zone and no
-   trace data once it has drained from the queue. *)
-type entry = {
-  e_id : int;
-  e_state : state;
-  e_zhash : int;  (* Dbm.hash of the zone; used only when not subsuming *)
-  e_sum : int;  (* Dbm.weight of the zone; used only when subsuming *)
-  mutable e_dead : bool;
-}
-
-(* One discrete state (locs, vars, mon) of the passed/waiting list, with
-   its live zones.  Nodes hang off a hash-keyed table; the hash is
-   computed once per state and cached in the node ([pw_hash]), so
-   subsumption probes compare a machine integer before touching the
-   discrete vectors, and a parallel store can route on the same hash
-   without recomputing it.  Collisions are resolved by structural
-   comparison here. *)
-type pw_node = {
-  pw_hash : int;
-  pw_locs : int array;
-  pw_vars : int array;
-  pw_mon : int;
-  mutable pw_entries : entry list;
-}
-
-(* Progress output: with [PSV_MC_PROGRESS] set (consulted once, not per
-   state) the sequential search prints its counters to stderr every
-   1000 visited states. *)
-let env_progress = lazy (Sys.getenv_opt "PSV_MC_PROGRESS" <> None)
-
 let hash_discrete locs vars mon =
   let h = ref (mon + 0x9e3779b9) in
   Array.iter (fun v -> h := (!h lxor v) * 0x01000193) locs;
@@ -556,7 +520,7 @@ type snapshot = {
   snap_visited : int;
   snap_stored : int;
   snap_entries : snap_entry list;  (* every live passed/waiting state *)
-  snap_queue : int array;          (* waiting entry ids, FIFO order *)
+  snap_queue : int array;          (* waiting entry ids, ascending *)
   snap_trace : (int * (int * int) list) array;
       (* per id: parent, movers as (automaton, edge-index) pairs *)
   snap_payload : string;           (* query accumulator, caller-defined *)
@@ -640,10 +604,11 @@ let load_snapshot path =
   | End_of_file -> Error "truncated snapshot"
   | Failure msg -> Error ("corrupt snapshot: " ^ msg)
 
-(* Shared resume guard: a snapshot replays correctly only into the same
-   search space (fingerprint), the same query kind (label), the same
-   dedup mode and the same zone dimension.  Used by the sequential
-   [search] below and by the parallel store restore (Parsearch). *)
+let snapshot_visited s = s.snap_visited
+
+(* Resume guard: a snapshot replays correctly only into the same search
+   space (fingerprint), the same query kind (label), the same dedup mode
+   and the same zone dimension. *)
 let check_snapshot t ~label ~subsume snap =
   if not (Store.D128.equal snap.snap_fingerprint (fingerprint t)) then
     invalid_arg
@@ -655,32 +620,147 @@ let check_snapshot t ~label ~subsume snap =
   if snap.snap_dim <> t.comp.Compiled.c_nclocks + 1 then
     invalid_arg "Explorer: snapshot zone dimension differs"
 
-(* Accessors and a builder for foreign stores (the sharded parallel one)
-   that restore from and serialize to the same PSVSNAP2 format, so a
-   checkpoint taken at any [--jobs] resumes at any other. *)
-let snapshot_next_id s = s.snap_next_id
-let snapshot_visited s = s.snap_visited
-let snapshot_stored s = s.snap_stored
-let snapshot_entries s = s.snap_entries
-let snapshot_queue s = s.snap_queue
-let snapshot_trace s = s.snap_trace
-let snapshot_payload s = s.snap_payload
+(* --- the search engine --------------------------------------------------- *)
 
-let make_snapshot t ~label ~subsume ~next_id ~visited ~stored ~entries ~queue
-    ~trace ~payload =
-  { snap_fingerprint = fingerprint t;
-    snap_label = label;
-    snap_dim = t.comp.Compiled.c_nclocks + 1;
-    snap_subsume = subsume;
-    snap_next_id = next_id;
-    snap_visited = visited;
-    snap_stored = stored;
-    snap_entries = entries;
-    snap_queue = queue;
-    snap_trace = trace;
-    snap_payload = payload }
+(* One passed/waiting loop serves every worker count.  Work lives in one
+   ring deque per worker; the passed store is sharded by the discrete
+   hash, each shard a growable table of atomic buckets whose nodes hold
+   their entry lists in an [Atomic.t].
 
-(* --- search ------------------------------------------------------------ *)
+   At jobs = 1 (one shard, one worker, no domain spawned) the loop is
+   the classic sequential search, and its visited/stored counts, witness
+   chains and progress lines are fixed by three rules:
+   (a) each successor is inserted, through the locked path, and visited
+       the moment it is fired — no batching;
+   (b) pruning is copy-free: a node's entry list comes back physically
+       unchanged when the newcomer covers nothing (the common case);
+   (c) pruned zones go back to the worker's scratch pool, except the
+       zone being expanded, which its remaining candidates still read.
+   The deque pops FIFO, for sup queries too: breadth-first order is what
+   the recorded counters, the incremental ladder's session graphs and
+   the golden tests pin, and max-delay-first order moves them.
+
+   At jobs > 1:
+   - the owner pops at the back of its deque for ordered (sup) searches,
+     so batches pushed in ascending score explore max-delay states first
+     and reach the final sup sooner; else at the front.  An idle worker
+     steals up to half a victim's deque from the front, probing victims
+     through a lock-free size mirror;
+   - successors park in worker-local per-shard buffers and transfer in
+     batches of [batch_size], one shard-lock acquisition per batch.  Both
+     subsumption directions first run against an [Atomic.get] snapshot
+     of the entry list without the lock: a "covered" verdict is final
+     (stored zones never shrink, a cover of a cover still covers), and a
+     "publish" decision is revalidated under the lock by physical
+     equality of the list, repeating the work only when another worker
+     committed to the node meanwhile;
+   - pruned zones stay out of the pools, since lock-free readers may
+     still hold them, and a dead mark read without the lock may be stale:
+     the entry is then re-expanded, which is redundant but sound;
+   - termination is a quiescence count: [pending] covers buffered
+     successors, queued entries and in-flight expansions, so [pending =
+     0] seen by an idle worker means no work exists and none can appear.
+
+   At any jobs the visited counter is reserved by CAS and never passes
+   the state budget, even transiently; an interrupt leaves store and
+   deques a coherent cut (the fleet finishes its in-flight expansions and
+   flushes), serialized as a PSVSNAP2 snapshot that resumes at any jobs;
+   and a raising worker is supervised: the first crash stops the search,
+   which reports a diagnosed [Crash] instead of killing the caller.
+
+   Verdicts and sups do not depend on [jobs]: every order reaches the
+   same zone-graph fixpoint, where each reachable zone is covered by a
+   stored zone that is itself reachable.  Counts, witnesses and partial
+   results of interrupted runs at jobs > 1 are order-dependent. *)
+
+let num_shards = 64
+let shard_shift = 6 (* log2 num_shards: bucket indices use the bits above *)
+let batch_size = 32
+
+let recommended_jobs () = Domain.recommended_domain_count ()
+
+(* Progress output: with [PSV_MC_PROGRESS] set (consulted once, not per
+   state) a jobs = 1 search prints its counters to stderr every 1000
+   visited states. *)
+let env_progress = lazy (Sys.getenv_opt "PSV_MC_PROGRESS" <> None)
+
+(* A stored symbolic state.  The parent link is the trace: a witness
+   chain is rebuilt by walking [e_parent], so no id-indexed side table
+   (and no lock around one) is needed. *)
+type entry = {
+  e_id : int;
+  e_state : state;
+  e_key : int;  (* Dbm.weight of the zone when subsuming, Dbm.hash if not *)
+  e_parent : entry option;
+  e_movers : (int * Compiled.cedge) list;
+  e_score : int;
+  mutable e_dead : bool;
+}
+
+type node = {
+  n_hash : int;
+  n_locs : int array;
+  n_vars : int array;
+  n_mon : int;
+  n_entries : entry list Atomic.t;
+}
+
+(* [s_table] is replaced by one twice its size, under [s_lock], once the
+   shard holds twice as many nodes as buckets; a lock-free reader of the
+   old table at worst misses a node and takes the locked path. *)
+type shard = {
+  s_lock : Mutex.t;
+  s_table : node list Atomic.t array Atomic.t;
+  mutable s_nodes : int;
+}
+
+(* A growable ring guarded by its own mutex.  [d_size] mirrors the
+   length so idle workers can look for a victim without a lock.  Slots
+   are not cleared on pop: every entry is also reachable from the store
+   or from a live descendant's parent chain. *)
+type deque = {
+  d_lock : Mutex.t;
+  mutable d_buf : entry array;
+  mutable d_head : int;
+  mutable d_len : int;
+  d_size : int Atomic.t;
+}
+
+(* A successor parked in its producer's per-shard buffer (jobs > 1). *)
+type succ = {
+  c_hash : int;
+  c_parent : entry option;
+  c_movers : (int * Compiled.cedge) list;
+  c_state : state;
+  c_key : int;
+  c_score : int;
+}
+
+(* What the lock-free pass decided about a buffered successor. *)
+type probe =
+  | Covered
+  | Publish of node * entry list * entry list  (* node, list seen, survivors *)
+  | Recheck  (* no node yet: decide under the lock *)
+
+type wstate = {
+  w_index : int;
+  w_pool : Zone.Dbm.Pool.t;
+  w_deque : deque;
+  w_buf : succ list array;  (* per destination shard, newest first *)
+  w_nbuf : int array;
+  mutable w_buffered : int;
+  mutable w_tick : int;  (* expansion attempts, for Runctl sampling *)
+  mutable w_expanding : int;  (* id of the entry being expanded *)
+}
+
+(* Why a search is winding down.  [Running] is an immediate
+   constructor, so first-one-wins transitions are
+   [compare_and_set stop Running _]. *)
+type stop_state =
+  | Running
+  | Found of entry
+  | Interrupted of Runctl.reason
+  | Crashed of exn * string  (* exception and backtrace of the first crash *)
 
 type search_result = {
   sr_chain : (int * Compiled.cedge) list list option;
@@ -689,319 +769,658 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-(* Generic search: calls [visit] on every stored state (including the
-   initial one); stops early when [visit] returns [`Stop].  [on_expanded]
-   is called after a state's successors have been generated, with the
-   number of (non-empty) successors -- used by the timelock detector.
+(* Critical sections never block and never call user code, but an
+   exception leaking out of one must not leave the mutex held. *)
+let with_lock m f =
+  Mutex.lock m;
+  match f () with
+  | v ->
+    Mutex.unlock m;
+    v
+  | exception exn ->
+    Mutex.unlock m;
+    raise exn
 
-   Budgets ([ctl] and the explorer's state limit) are polled at the top
-   of the loop, before popping, so an interrupted search leaves the
-   waiting queue intact: the snapshot then restarts exactly where the
-   uninterrupted run would have continued.  [label] names the query kind
-   and must match on resume; [payload] is called at snapshot time to
-   save the caller's accumulator (e.g. the running sup). *)
-let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
-    ?(subsume = true) ?expand ?ctl ?resume ?(label = "")
-    ?(payload = fun () -> "") t visit =
-  let pool = fresh_pool t in
-  let store : (int, pw_node list ref) Hashtbl.t = Hashtbl.create 4096 in
-  (* trace side table: (parent, movers) per stored id, for witness
-     reconstruction; grows geometrically *)
-  let trace = ref (Array.make 1024 (-1, [])) in
-  let record_trace id parent movers =
-    let cap = Array.length !trace in
-    if id >= cap then begin
-      let bigger = Array.make (2 * cap) (-1, []) in
-      Array.blit !trace 0 bigger 0 cap;
-      trace := bigger
-    end;
-    !trace.(id) <- (parent, movers)
+(* Ring helpers; callers hold [d_lock] and refresh [d_size]. *)
+let deque_reserve d filler =
+  let cap = Array.length d.d_buf in
+  if d.d_len = cap then begin
+    let nb = Array.make (max 64 (2 * cap)) filler in
+    for i = 0 to d.d_len - 1 do
+      nb.(i) <- d.d_buf.((d.d_head + i) mod cap)
+    done;
+    d.d_buf <- nb;
+    d.d_head <- 0
+  end
+
+let deque_push_back d e =
+  deque_reserve d e;
+  d.d_buf.((d.d_head + d.d_len) mod Array.length d.d_buf) <- e;
+  d.d_len <- d.d_len + 1
+
+let deque_push_front d e =
+  deque_reserve d e;
+  let cap = Array.length d.d_buf in
+  d.d_head <- (d.d_head + cap - 1) mod cap;
+  d.d_buf.(d.d_head) <- e;
+  d.d_len <- d.d_len + 1
+
+let deque_pop_back d =
+  if d.d_len = 0 then None
+  else begin
+    d.d_len <- d.d_len - 1;
+    Some d.d_buf.((d.d_head + d.d_len) mod Array.length d.d_buf)
+  end
+
+let deque_pop_front d =
+  if d.d_len = 0 then None
+  else begin
+    let e = d.d_buf.(d.d_head) in
+    d.d_head <- (d.d_head + 1) mod Array.length d.d_buf;
+    d.d_len <- d.d_len - 1;
+    Some e
+  end
+
+let find_node nodes h st =
+  let rec go = function
+    | [] -> None
+    | n :: rest ->
+      if n.n_hash = h && n.n_mon = st.st_mon && n.n_locs = st.st_locs
+         && n.n_vars = st.st_vars
+      then Some n
+      else go rest
   in
-  let next_id = ref 0 in
-  let stored = ref 0 in
-  let visited = ref 0 in
-  let waiting : entry Queue.t = Queue.create () in
-  (* the entry currently being expanded: its zone must not go back to the
-     pool even if a successor subsumes it, because the remaining
-     candidates of this expansion still read it *)
-  let expanding = ref (-1) in
-  let progress = Lazy.force env_progress in
-  let find_node bucket h st =
-    let rec go = function
-      | [] -> None
-      | (n : pw_node) :: rest ->
-        if n.pw_hash = h && n.pw_mon = st.st_mon && n.pw_locs = st.st_locs
-           && n.pw_vars = st.st_vars
-        then Some n
-        else go rest
-    in
-    go !bucket
+  go nodes
+
+let bucket sh h =
+  let tbl = Atomic.get sh.s_table in
+  tbl.((h lsr shard_shift) land (Array.length tbl - 1))
+
+let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
+    ?(on_transition = fun _ -> ()) ?(subsume = true) ?expand ?ctl ?order
+    ?resume ?(label = "") ?(payload = fun () -> "") t visit =
+  let jobs = max 1 jobs in
+  if jobs > 1 && Option.is_some expand then
+    invalid_arg "Explorer.search: an expand hook runs at jobs = 1 only";
+  let direct = jobs = 1 in
+  let dim = t.comp.Compiled.c_nclocks + 1 in
+  let nshards = if direct then 1 else num_shards in
+  let shards =
+    Array.init nshards (fun _ ->
+        { s_lock = Mutex.create ();
+          s_table =
+            Atomic.make
+              (Array.init (if direct then 1024 else 64) (fun _ ->
+                   Atomic.make []));
+          s_nodes = 0 })
   in
-  let node_for st =
-    let h = hash_discrete st.st_locs st.st_vars st.st_mon in
-    let bucket =
-      match Hashtbl.find_opt store h with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.replace store h b;
-        b
+  let wstates =
+    Array.init jobs (fun w ->
+        { w_index = w;
+          w_pool = fresh_pool t;
+          w_deque =
+            { d_lock = Mutex.create (); d_buf = [||]; d_head = 0; d_len = 0;
+              d_size = Atomic.make 0 };
+          w_buf = Array.make nshards [];
+          w_nbuf = Array.make nshards 0;
+          w_buffered = 0;
+          w_tick = 0;
+          w_expanding = -1 })
+  in
+  let next_id = Atomic.make 0 and pending = Atomic.make 0 in
+  let visited = Atomic.make 0 and stored = Atomic.make 0 in
+  let stop = Atomic.make Running in
+  let hard_limit =
+    match Option.bind ctl (fun c -> (Runctl.budget c).Runctl.b_states) with
+    | Some n -> min n t.limit
+    | None -> t.limit
+  in
+  let ordered = (not direct) && Option.is_some order in
+  let score_of = match order with Some f when ordered -> f | _ -> fun _ -> 0 in
+  let progress = direct && Lazy.force env_progress in
+  let running () = match Atomic.get stop with Running -> true | _ -> false in
+  (* an interrupted fleet finishes its in-flight expansions and flushes,
+     so the cut stays coherent; [Found]/[Crashed] abandon at once *)
+  let winding_down_ok () =
+    match Atomic.get stop with
+    | Running | Interrupted _ -> true
+    | Found _ | Crashed _ -> false
+  in
+  let set_stop s = ignore (Atomic.compare_and_set stop Running s) in
+  (* the per-entry key prefilters both subsumption scans: with
+     subsumption it is the zone weight ({!Zone.Dbm.weight}, a dominance
+     measure), so an entry can cover the newcomer only when at least as
+     heavy and be covered by it only when no heavier — most probes are an
+     integer compare instead of an O(dim^2) inclusion walk *)
+  let key_of z = if subsume then Zone.Dbm.weight z else Zone.Dbm.hash z in
+  let rec covered entries z k =
+    match entries with
+    | [] -> false
+    | e :: rest ->
+      (if subsume then e.e_key >= k && Zone.Dbm.includes e.e_state.st_zone z
+       else e.e_key = k && Zone.Dbm.equal e.e_state.st_zone z)
+      || covered rest z k
+  in
+  (* [l] minus the entries the newcomer covers: physically [l] when it
+     covers none.  With [commit], the pruned entries are marked dead and,
+     at jobs = 1, their zones return to [ws]'s pool. *)
+  let rec prune commit ws z k l =
+    match l with
+    | [] -> l
+    | e :: rest ->
+      if subsume && e.e_key <= k && Zone.Dbm.includes z e.e_state.st_zone
+      then begin
+        if commit then begin
+          e.e_dead <- true;
+          if direct && e.e_id <> ws.w_expanding then
+            Zone.Dbm.Pool.release ws.w_pool e.e_state.st_zone
+        end;
+        prune commit ws z k rest
+      end
+      else
+        let rest' = prune commit ws z k rest in
+        if rest' == rest then l else e :: rest'
+  in
+  (* mark dead the entries of [seen] missing from its pruned
+     subsequence [keep] *)
+  let rec mark_killed seen keep =
+    if seen != keep then
+      match seen, keep with
+      | e :: rest, e' :: rest' when e == e' -> mark_killed rest rest'
+      | e :: rest, _ ->
+        e.e_dead <- true;
+        mark_killed rest keep
+      | [], _ -> ()
+  in
+  let grow sh =
+    let tbl = Array.init (2 * Array.length (Atomic.get sh.s_table)) (fun _ ->
+        Atomic.make [])
     in
-    match find_node bucket h st with
+    let mask = Array.length tbl - 1 in
+    Array.iter
+      (fun b ->
+        List.iter
+          (fun n ->
+            let b' = tbl.((n.n_hash lsr shard_shift) land mask) in
+            Atomic.set b' (n :: Atomic.get b'))
+          (Atomic.get b))
+      (Atomic.get sh.s_table);
+    Atomic.set sh.s_table tbl
+  in
+  (* the node of [st]'s discrete part, created empty when missing; the
+     caller holds the shard lock or runs before the workers start *)
+  let node_for sh h st =
+    let b = bucket sh h in
+    match find_node (Atomic.get b) h st with
     | Some n -> n
     | None ->
       let n =
-        { pw_hash = h; pw_locs = st.st_locs; pw_vars = st.st_vars;
-          pw_mon = st.st_mon; pw_entries = [] }
+        { n_hash = h; n_locs = st.st_locs; n_vars = st.st_vars;
+          n_mon = st.st_mon; n_entries = Atomic.make [] }
       in
-      bucket := n :: !bucket;
+      Atomic.set b (n :: Atomic.get b);
+      sh.s_nodes <- sh.s_nodes + 1;
+      if sh.s_nodes > 2 * Array.length (Atomic.get sh.s_table) then grow sh;
       n
   in
-  (* The per-entry weight ({!Zone.Dbm.weight}, a scalar dominance
-     measure) prefilters both subsumption scans: an entry can cover the
-     newcomer only when at least as heavy, and be covered by it only
-     when no heavier — so most probes are an integer compare instead of
-     an O(dim^2) inclusion walk.  Scan {e decisions} are unchanged
-     (covered is an existence check, pruning removes a set). *)
-  let add_state parent movers st =
-    let node = node_for st in
-    let zhash = if subsume then 0 else Zone.Dbm.hash st.st_zone in
-    let w = if subsume then Zone.Dbm.weight st.st_zone else 0 in
-    let covered e =
-      if subsume then
-        e.e_sum >= w && Zone.Dbm.includes e.e_state.st_zone st.st_zone
-      else e.e_zhash = zhash && Zone.Dbm.equal e.e_state.st_zone st.st_zone
+  (* a successor's quiescence token is taken when it is offered and
+     released here when it is covered *)
+  let drop ws st =
+    Zone.Dbm.Pool.release ws.w_pool st.st_zone;
+    Atomic.decr pending
+  in
+  (* caller holds the shard lock *)
+  let commit n keep parent movers st k score =
+    let e =
+      { e_id = Atomic.fetch_and_add next_id 1; e_state = st; e_key = k;
+        e_parent = parent; e_movers = movers; e_score = score;
+        e_dead = false }
     in
-    if List.exists covered node.pw_entries then begin
-      Zone.Dbm.Pool.release pool st.st_zone;
+    Atomic.set n.n_entries (e :: keep);
+    Atomic.incr stored;
+    e
+  in
+  let insert_locked ws sh h parent movers st k score =
+    let n = node_for sh h st in
+    let cur = Atomic.get n.n_entries in
+    if covered cur st.st_zone k then begin
+      drop ws st;
       None
     end
-    else begin
-      if subsume then begin
-        (* in-place subsumption: entries covered by the newcomer leave
-           the PW node now (dead ones drain from the queue in O(1) on
-           pop) and their zones return to the scratch pool.  [prune]
-           returns the input list physically unchanged when nothing is
-           subsumed -- the common case -- so steady-state inserts do not
-           reallocate the (often long) entry list *)
-        let rec prune l =
-          match l with
-          | [] -> l
-          | e :: rest ->
-            if
-              e.e_sum <= w
-              && Zone.Dbm.includes st.st_zone e.e_state.st_zone
-            then begin
-              e.e_dead <- true;
-              if e.e_id <> !expanding then
-                Zone.Dbm.Pool.release pool e.e_state.st_zone;
-              prune rest
-            end
-            else
-              let rest' = prune rest in
-              if rest' == rest then l else e :: rest'
-        in
-        node.pw_entries <- prune node.pw_entries
-      end;
-      let id = !next_id in
-      incr next_id;
-      incr stored;
-      record_trace id parent movers;
-      let e =
-        { e_id = id; e_state = st; e_zhash = zhash; e_sum = w; e_dead = false }
-      in
-      node.pw_entries <- e :: node.pw_entries;
-      Queue.push e waiting;
-      Some e
-    end
+    else
+      Some (commit n (prune true ws st.st_zone k cur) parent movers st k score)
   in
-  let stopped = ref None in
-  let consider entry =
-    match visit entry.e_state with
-    | `Stop -> stopped := Some entry
+  let announce ws e =
+    match visit ws.w_index e.e_state with
+    | `Stop -> set_stop (Found e)
     | `Continue -> ()
   in
-  (* edge lookup by (automaton, declaration index), for rebuilding the
-     trace table of a snapshot; forced only on resume *)
+  (* The jobs = 1 hot path (push, pop, direct insert) locks without a
+     closure: its critical sections cannot raise, and at jobs = 1 no
+     other worker could wait on the lock anyway. *)
+  let push_one ws e =
+    let dq = ws.w_deque in
+    Mutex.lock dq.d_lock;
+    deque_push_back dq e;
+    Atomic.set dq.d_size dq.d_len;
+    Mutex.unlock dq.d_lock
+  in
+  (* deliver [ws]'s buffered successors for shard [si]: a lock-free
+     probe of each, then one lock acquisition for the whole batch *)
+  let flush_shard ws si =
+    let items = ws.w_buf.(si) in
+    ws.w_buf.(si) <- [];
+    ws.w_buffered <- ws.w_buffered - ws.w_nbuf.(si);
+    ws.w_nbuf.(si) <- 0;
+    let sh = shards.(si) in
+    let probed =
+      List.rev_map
+        (fun it ->
+          let z = it.c_state.st_zone and k = it.c_key in
+          let nodes = Atomic.get (bucket sh it.c_hash) in
+          match find_node nodes it.c_hash it.c_state with
+          | None -> (it, Recheck)
+          | Some n ->
+            let seen = Atomic.get n.n_entries in
+            if covered seen z k then (it, Covered)
+            else (it, Publish (n, seen, prune false ws z k seen)))
+        items
+    in
+    let published =
+      with_lock sh.s_lock (fun () ->
+          List.fold_left
+            (fun acc (it, p) ->
+              match p with
+              | Covered ->
+                drop ws it.c_state;
+                acc
+              | Publish (n, seen, keep) when Atomic.get n.n_entries == seen ->
+                mark_killed seen keep;
+                commit n keep it.c_parent it.c_movers it.c_state it.c_key
+                  it.c_score
+                :: acc
+              | Publish _ | Recheck ->
+                (match
+                   insert_locked ws sh it.c_hash it.c_parent it.c_movers
+                     it.c_state it.c_key it.c_score
+                 with
+                 | Some e -> e :: acc
+                 | None -> acc))
+            [] probed)
+    in
+    let pub =
+      if ordered then
+        List.stable_sort (fun a b -> compare a.e_score b.e_score)
+          (List.rev published)
+      else List.rev published
+    in
+    List.iter (push_one ws) pub;
+    List.iter (announce ws) pub
+  in
+  let flush_all ws =
+    for si = 0 to nshards - 1 do
+      if ws.w_nbuf.(si) > 0 then flush_shard ws si
+    done
+  in
+  let offer ws parent movers st =
+    let h = hash_discrete st.st_locs st.st_vars st.st_mon in
+    let k = key_of st.st_zone in
+    Atomic.incr pending;
+    if direct then begin
+      let sh = shards.(0) in
+      Mutex.lock sh.s_lock;
+      let r = insert_locked ws sh h parent movers st k 0 in
+      Mutex.unlock sh.s_lock;
+      match r with
+      | Some e ->
+        push_one ws e;
+        announce ws e
+      | None -> ()
+    end
+    else begin
+      let si = h land (nshards - 1) in
+      ws.w_buf.(si) <-
+        { c_hash = h; c_parent = parent; c_movers = movers; c_state = st;
+          c_key = k; c_score = score_of st }
+        :: ws.w_buf.(si);
+      ws.w_nbuf.(si) <- ws.w_nbuf.(si) + 1;
+      ws.w_buffered <- ws.w_buffered + 1;
+      if ws.w_nbuf.(si) >= batch_size then flush_shard ws si
+    end
+  in
+  let rec reserve_expansion () =
+    let v = Atomic.get visited in
+    if v >= hard_limit then false
+    else if Atomic.compare_and_set visited v (v + 1) then true
+    else reserve_expansion ()
+  in
+  (* [true] when [e] was expanded; [false] when a budget or cancellation
+     stopped the search first (the caller puts [e] back) *)
+  let expand_entry ws e =
+    let veto =
+      match ctl with
+      | None -> None
+      | Some c ->
+        let tick = ws.w_tick in
+        ws.w_tick <- tick + 1;
+        Runctl.check c ~visited:(Atomic.get visited) ~tick
+    in
+    match veto with
+    | Some r ->
+      set_stop (Interrupted r);
+      false
+    | None when not (reserve_expansion ()) ->
+      set_stop (Interrupted (Runctl.State_budget hard_limit));
+      false
+    | None ->
+      if progress && Atomic.get visited mod 1_000 = 0 then
+        Printf.eprintf "[mc] visited %d stored %d queue %d\n%!"
+          (Atomic.get visited) (Atomic.get stored) ws.w_deque.d_len;
+      ws.w_expanding <- e.e_id;
+      let parent = Some e and successors = ref 0 in
+      let handle cd st =
+        incr successors;
+        on_transition cd;
+        offer ws parent cd.cd_movers st
+      in
+      (match expand with
+       | None ->
+         List.iter
+           (fun cd ->
+             if winding_down_ok () then
+               match fire t ws.w_pool e.e_state cd with
+               | None -> ()
+               | Some st -> handle cd st)
+           (candidates t e.e_state)
+       | Some f ->
+         (* an expansion override produces the whole (candidate,
+            successor) list up front; processing still honours [`Stop]
+            like the inline path, so counters and callback order are
+            byte-identical *)
+         List.iter
+           (fun (cd, succ) ->
+             if winding_down_ok () then
+               match succ with None -> () | Some st -> handle cd st)
+           (f ws.w_pool e.e_state));
+      if running () then begin
+        match on_expanded e.e_state !successors with
+        | `Stop -> set_stop (Found e)
+        | `Continue -> ()
+      end;
+      true
+  in
+  let rec pop_live dq =
+    match (if ordered then deque_pop_back dq else deque_pop_front dq) with
+    | Some e when e.e_dead ->
+      Atomic.decr pending;
+      pop_live dq
+    | r -> r
+  in
+  let pop_own ws =
+    let dq = ws.w_deque in
+    Mutex.lock dq.d_lock;
+    let r = pop_live dq in
+    Atomic.set dq.d_size dq.d_len;
+    Mutex.unlock dq.d_lock;
+    r
+  in
+  (* undo [pop_own], so an interrupted cut keeps the waiting order *)
+  let unpop ws e =
+    let dq = ws.w_deque in
+    Mutex.lock dq.d_lock;
+    if ordered then deque_push_back dq e else deque_push_front dq e;
+    Atomic.set dq.d_size dq.d_len;
+    Mutex.unlock dq.d_lock
+  in
+  let steal ws =
+    let rec scan i =
+      if i >= jobs then None
+      else begin
+        let vd = wstates.((ws.w_index + i) mod jobs).w_deque in
+        if Atomic.get vd.d_size = 0 then scan (i + 1)
+        else begin
+          let grabbed =
+            with_lock vd.d_lock (fun () ->
+                (* up to half the victim's deque, oldest first *)
+                let rec front k acc =
+                  if k = 0 then acc
+                  else
+                    match deque_pop_front vd with
+                    | None -> acc
+                    | Some e when e.e_dead ->
+                      Atomic.decr pending;
+                      front k acc
+                    | Some e -> front (k - 1) (e :: acc)
+                in
+                let l = front (min batch_size (vd.d_len - (vd.d_len / 2))) [] in
+                Atomic.set vd.d_size vd.d_len;
+                List.rev l)
+          in
+          match grabbed with
+          | [] -> scan (i + 1)
+          | first :: rest ->
+            List.iter (push_one ws) rest;
+            Some first
+        end
+      end
+    in
+    scan 1
+  in
+  let rec take ws =
+    match pop_own ws with
+    | Some e -> Some e
+    | None ->
+      if ws.w_buffered > 0 then begin
+        flush_all ws;
+        take ws
+      end
+      else steal ws
+  in
+  let crashed exn = set_stop (Crashed (exn, Printexc.get_backtrace ())) in
+  let worker w =
+    let ws = wstates.(w) in
+    (* idle backoff: spin briefly (steals usually succeed within a few
+       probes while work exists), then sleep sub-millisecond slices so
+       an idle worker stops eating a core the busy ones need *)
+    let idle = ref 0 in
+    let rec loop () =
+      if running () then begin
+        match take ws with
+        | Some e ->
+          idle := 0;
+          if expand_entry ws e then Atomic.decr pending else unpop ws e;
+          loop ()
+        | None ->
+          if Atomic.get pending > 0 then begin
+            incr idle;
+            if !idle < 64 then Domain.cpu_relax ()
+            else Unix.sleepf (if !idle < 256 then 0.000_05 else 0.000_5);
+            loop ()
+          end
+      end
+    in
+    (try loop () with exn -> crashed exn);
+    (* deliver still-buffered successors so store and deques form a
+       coherent cut; harmless after [Found] (a late [Found] loses) *)
+    try flush_all ws with exn -> crashed exn
+  in
+  (* seeding and resume run on the calling domain before any worker
+     spawns; a crash in the seed visit is supervised like any other,
+     while a mismatched snapshot raises to the caller *)
+  let old_trace =
+    match resume with
+    | None ->
+      (try
+         let initial = initial_state t in
+         if not (Zone.Dbm.is_empty initial.st_zone) then begin
+           offer wstates.(0) None [] initial;
+           flush_all wstates.(0)
+         end
+       with exn -> crashed exn);
+      [||]
+    | Some snap ->
+      check_snapshot t ~label ~subsume snap;
+      Atomic.set next_id snap.snap_next_id;
+      Atomic.set visited snap.snap_visited;
+      Atomic.set stored snap.snap_stored;
+      let by_id = Hashtbl.create 4096 in
+      List.iter
+        (fun se ->
+          let st =
+            { st_locs = se.se_locs; st_vars = se.se_vars; st_mon = se.se_mon;
+              st_zone = Zone.Dbm.of_ints ~dim se.se_zone }
+          in
+          let e =
+            { e_id = se.se_id; e_state = st; e_key = key_of st.st_zone;
+              e_parent = None; e_movers = []; e_score = score_of st;
+              e_dead = false }
+          in
+          Hashtbl.replace by_id se.se_id e;
+          let h = hash_discrete st.st_locs st.st_vars st.st_mon in
+          let n = node_for shards.(h land (nshards - 1)) h st in
+          Atomic.set n.n_entries (e :: Atomic.get n.n_entries))
+        snap.snap_entries;
+      (* the frontier spreads round-robin over the workers; the visit
+         callback is not replayed for restored states, whose effect on
+         the caller's accumulator comes back through the payload *)
+      Array.iteri
+        (fun i id ->
+          Atomic.incr pending;
+          push_one wstates.(i mod jobs) (Hashtbl.find by_id id))
+        snap.snap_queue;
+      snap.snap_trace
+  in
+  let domains =
+    Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+  in
+  worker 0;
+  Array.iter Domain.join domains;
+  (* everything below runs after the join, which orders every worker
+     write before these reads *)
+  let frontier =
+    Array.fold_left
+      (fun acc ws ->
+        let dq = ws.w_deque in
+        let rec go i acc =
+          if i >= dq.d_len then acc
+          else
+            let e = dq.d_buf.((dq.d_head + i) mod Array.length dq.d_buf) in
+            go (i + 1) (if e.e_dead then acc else e :: acc)
+        in
+        go 0 acc)
+      [] wstates
+  in
+  let stats =
+    { visited = Atomic.get visited; stored = Atomic.get stored;
+      frontier = List.length frontier }
+  in
+  (* edge lookup by (automaton, declaration index), for the trace rows
+     of a resumed-from snapshot *)
   let edge_by_index =
     lazy
       (Array.map
          (fun a ->
            let tbl = Hashtbl.create 64 in
            Array.iter
-             (List.iter (fun ce ->
-                  Hashtbl.replace tbl ce.Compiled.ce_index ce))
+             (List.iter (fun ce -> Hashtbl.replace tbl ce.Compiled.ce_index ce))
              a.Compiled.ca_out;
            tbl)
          t.comp.Compiled.c_automata)
   in
-  (match resume with
-   | None ->
-     let initial = initial_state t in
-     if not (Zone.Dbm.is_empty initial.st_zone) then begin
-       match add_state (-1) [] initial with
-       | Some e -> consider e
-       | None -> ()
-     end
-   | Some snap ->
-     check_snapshot t ~label ~subsume snap;
-     next_id := snap.snap_next_id;
-     visited := snap.snap_visited;
-     stored := snap.snap_stored;
-     let cap = ref (Array.length !trace) in
-     while !cap < snap.snap_next_id do
-       cap := 2 * !cap
-     done;
-     trace := Array.make !cap (-1, []);
-     let edges = Lazy.force edge_by_index in
-     Array.iteri
-       (fun id (parent, movers) ->
-         !trace.(id) <-
-           ( parent,
-             List.map (fun (ai, idx) -> (ai, Hashtbl.find edges.(ai) idx))
-               movers ))
-       snap.snap_trace;
-     let by_id = Hashtbl.create 4096 in
-     (* entries were saved in reverse bucket order, so consing here
-        rebuilds each PW node's list bit-identically to the moment the
-        snapshot was taken *)
-     List.iter
-       (fun se ->
-         let st =
-           { st_locs = se.se_locs; st_vars = se.se_vars; st_mon = se.se_mon;
-             st_zone = Zone.Dbm.of_ints ~dim:snap.snap_dim se.se_zone }
-         in
-         let zhash = if subsume then 0 else Zone.Dbm.hash st.st_zone in
-         let w = if subsume then Zone.Dbm.weight st.st_zone else 0 in
-         let e =
-           { e_id = se.se_id; e_state = st; e_zhash = zhash; e_sum = w;
-             e_dead = false }
-         in
-         Hashtbl.replace by_id se.se_id e;
-         let node = node_for st in
-         node.pw_entries <- e :: node.pw_entries)
-       snap.snap_entries;
-     (* the visit callback is NOT replayed for restored states: they were
-        considered when first stored, and the caller's accumulator comes
-        back through [snap_payload] *)
-     Array.iter
-       (fun id -> Queue.push (Hashtbl.find by_id id) waiting)
-       snap.snap_queue);
-  let interrupt = ref None in
-  let poll () =
-    if !visited >= t.limit then interrupt := Some (Runctl.State_budget t.limit)
-    else
-      match ctl with
-      | None -> ()
-      | Some c ->
-        (match Runctl.check c ~visited:!visited with
-         | Some r -> interrupt := Some r
-         | None -> ())
-  in
-  while !stopped = None && !interrupt = None && not (Queue.is_empty waiting) do
-    poll ();
-    if !interrupt = None then begin
-    let e = Queue.pop waiting in
-    if not e.e_dead then begin
-      incr visited;
-      if progress && !visited mod 1_000 = 0 then
-        Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" !visited
-          !stored (Queue.length waiting);
-      expanding := e.e_id;
-      let successors = ref 0 in
-      let handle cd st =
-        incr successors;
-        on_transition cd;
-        match add_state e.e_id cd.cd_movers st with
-        | Some e' -> consider e'
-        | None -> ()
-      in
-      (match expand with
-       | None ->
-         List.iter
-           (fun cd ->
-             if !stopped = None then
-               match fire t pool e.e_state cd with
-               | None -> ()
-               | Some st -> handle cd st)
-           (candidates t e.e_state)
-       | Some f ->
-         (* an expansion override produces the whole (candidate,
-            successor) list up front; processing still honors [`Stop]
-            exactly like the inline path, so verdicts, counters and
-            callback order are byte-identical *)
-         List.iter
-           (fun (cd, succ) ->
-             if !stopped = None then
-               match succ with None -> () | Some st -> handle cd st)
-           (f pool e.e_state));
-      if !stopped = None then
-        match on_expanded e.e_state !successors with
-        | `Stop -> stopped := Some e
-        | `Continue -> ()
-    end
-    end
-  done;
-  let chain_of entry =
-    let rec walk acc id =
-      if id < 0 then acc
+  let chain_of e =
+    let rec restored acc id =
+      if id >= Array.length old_trace || fst old_trace.(id) < 0 then acc
       else
-        let parent, movers = !trace.(id) in
-        if parent < 0 then acc else walk (movers :: acc) parent
+        let parent, movers = old_trace.(id) in
+        let edges = Lazy.force edge_by_index in
+        restored
+          (List.map (fun (ai, idx) -> (ai, Hashtbl.find edges.(ai) idx)) movers
+          :: acc)
+          parent
     in
-    walk [] entry.e_id
-  in
-  let frontier =
-    Queue.fold (fun n e -> if e.e_dead then n else n + 1) 0 waiting
+    let rec walk acc e =
+      match e.e_parent with
+      | Some p -> walk (e.e_movers :: acc) p
+      | None -> restored acc e.e_id
+    in
+    walk [] e
   in
   let build_snapshot () =
-    let entries = ref [] in
-    Hashtbl.iter
-      (fun _ bucket ->
-        List.iter
-          (fun n ->
+    let live = ref [] in
+    Array.iter
+      (fun sh ->
+        Array.iter
+          (fun b ->
             List.iter
-              (fun e ->
-                if not e.e_dead then
-                  entries :=
-                    { se_id = e.e_id;
-                      se_locs = e.e_state.st_locs;
-                      se_vars = e.e_state.st_vars;
-                      se_mon = e.e_state.st_mon;
-                      se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
-                    :: !entries)
-              n.pw_entries)
-          !bucket)
-      store;
-    let queue_ids =
-      Queue.fold (fun acc e -> if e.e_dead then acc else e.e_id :: acc)
-        [] waiting
-      |> List.rev |> Array.of_list
+              (fun n ->
+                List.iter
+                  (fun e -> if not e.e_dead then live := e :: !live)
+                  (Atomic.get n.n_entries))
+              (Atomic.get b))
+          (Atomic.get sh.s_table))
+      shards;
+    let nid = Atomic.get next_id in
+    let trace = Array.make nid (-1, []) in
+    let filled = Array.make nid false in
+    (* rows of the resumed-from snapshot survive verbatim *)
+    Array.iteri
+      (fun id row ->
+        trace.(id) <- row;
+        filled.(id) <- true)
+      old_trace;
+    (* walk parent chains so pruned ancestors of live entries get their
+       rows too; stops at the first row already filled *)
+    let rec fill e =
+      if not filled.(e.e_id) then begin
+        filled.(e.e_id) <- true;
+        match e.e_parent with
+        | None -> ()
+        | Some p ->
+          let ix (ai, ce) = (ai, ce.Compiled.ce_index) in
+          trace.(e.e_id) <- (p.e_id, List.map ix e.e_movers);
+          fill p
+      end
     in
-    let trace_tbl =
-      Array.init !next_id (fun id ->
-          let parent, movers = !trace.(id) in
-          (parent, List.map (fun (ai, ce) -> (ai, ce.Compiled.ce_index)) movers))
+    List.iter fill !live;
+    (* entries and queue sorted by id: the cut is a function of the final
+       store, not of the worker interleaving that produced it *)
+    let entries =
+      !live
+      |> List.map (fun e ->
+             { se_id = e.e_id; se_locs = e.e_state.st_locs;
+               se_vars = e.e_state.st_vars; se_mon = e.e_state.st_mon;
+               se_zone = Zone.Dbm.to_ints e.e_state.st_zone })
+      |> List.sort (fun a b -> compare a.se_id b.se_id)
     in
     { snap_fingerprint = fingerprint t;
       snap_label = label;
-      snap_dim = t.comp.Compiled.c_nclocks + 1;
+      snap_dim = dim;
       snap_subsume = subsume;
-      snap_next_id = !next_id;
-      snap_visited = !visited;
-      snap_stored = !stored;
-      snap_entries = !entries;
-      snap_queue = queue_ids;
-      snap_trace = trace_tbl;
+      snap_next_id = nid;
+      snap_visited = stats.visited;
+      snap_stored = stats.stored;
+      snap_entries = entries;
+      snap_queue =
+        Array.of_list (List.sort compare (List.map (fun e -> e.e_id) frontier));
+      snap_trace = trace;
       snap_payload = payload () }
   in
-  { sr_chain = Option.map chain_of !stopped;
-    sr_stats = { visited = !visited; stored = !stored; frontier };
-    sr_interrupt = !interrupt;
-    sr_snapshot =
-      (match !interrupt with
-       | Some _ -> Some (build_snapshot ())
-       | None -> None) }
+  let result ?chain ?interrupt ?snapshot () =
+    { sr_chain = chain; sr_stats = stats; sr_interrupt = interrupt;
+      sr_snapshot = snapshot }
+  in
+  match Atomic.get stop with
+  | Crashed (exn, bt) ->
+    (* a crashed cut may be incoherent: no snapshot *)
+    let bt = String.trim bt in
+    let diag =
+      if bt = "" then Printexc.to_string exn
+      else Printexc.to_string exn ^ "\n" ^ bt
+    in
+    result ~interrupt:(Runctl.Crash diag) ()
+  | Found e -> result ~chain:(chain_of e) ()
+  | Interrupted r -> result ~interrupt:r ~snapshot:(build_snapshot ()) ()
+  | Running -> result ()
 
 let describe_chain t chain =
   List.map
@@ -1014,12 +1433,15 @@ type reach_result = {
   r_interrupt : Runctl.reason option;
 }
 
-let reachable ?expand ?ctl t pred =
-  let visit st = if pred st then `Stop else `Continue in
-  let r = search ?expand ?ctl ~label:"reachable" t visit in
+let reach_of t r =
   { r_trace = Option.map (describe_chain t) r.sr_chain;
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
+
+let reachable ?jobs ?expand ?ctl t pred =
+  reach_of t
+    (search ?jobs ?expand ?ctl ~label:"reachable" t (fun _ st ->
+         if pred st then `Stop else `Continue))
 
 type sup_result =
   | Sup_unreached
@@ -1041,6 +1463,13 @@ let fold_sup ~ceiling acc b =
     | Sup (v0, s0) ->
       if v > v0 || (v = v0 && s0 && not strict) then Sup (v, strict) else acc
 
+(* One worker's running sup folded into another's, through [fold_sup]. *)
+let merge_sup ~ceiling acc = function
+  | Sup_unreached -> acc
+  | Sup (v, strict) ->
+    fold_sup ~ceiling acc (if strict then Zone.Bound.lt v else Zone.Bound.le v)
+  | Sup_exceeds _ -> fold_sup ~ceiling acc Zone.Bound.infinity
+
 type sup_outcome = {
   so_sup : sup_result;
   so_stats : stats;
@@ -1048,27 +1477,44 @@ type sup_outcome = {
   so_snapshot : snapshot option;
 }
 
-let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
+let sup_clock ?(jobs = 1) ?expand ?ctl ?resume t ~pred ~clock =
+  let jobs = max 1 jobs in
   let ci, ceiling = monitor_clock_info t clock in
-  (* the running sup travels with the snapshot: on interrupt it is
-     marshalled into the payload, on resume restored from it, so the
-     states considered before the interrupt are not re-visited *)
-  let best =
-    ref
-      (match resume with
-       | Some snap when snap.snap_payload <> "" ->
-         (Marshal.from_string snap.snap_payload 0 : sup_result)
-       | Some _ | None -> Sup_unreached)
+  let label = "sup:" ^ clock in
+  (* validate before unmarshalling the payload: a mismatched snapshot
+     must raise, not feed foreign bytes to [Marshal.from_string] *)
+  Option.iter (check_snapshot t ~label ~subsume:true) resume;
+  (* one running sup per worker, merged at the end; the merged sup
+     travels with a snapshot and comes back as worker 0's *)
+  let bests =
+    Array.init jobs (fun i ->
+        ref
+          (match resume with
+           | Some snap when i = 0 && snap.snap_payload <> "" ->
+             (Marshal.from_string snap.snap_payload 0 : sup_result)
+           | Some _ | None -> Sup_unreached))
   in
-  let update st =
-    if pred st then
-      best := fold_sup ~ceiling !best (Zone.Dbm.sup_clock st.st_zone ci);
+  let visit w st =
+    if pred st then begin
+      let best = bests.(w) in
+      best := fold_sup ~ceiling !best (Zone.Dbm.sup_clock st.st_zone ci)
+    end;
     `Continue
   in
-  let label = "sup:" ^ clock in
-  let payload () = Marshal.to_string !best [] in
-  let r = search ?expand ?ctl ?resume ~label ~payload t update in
-  { so_sup = !best;
+  let merged () =
+    Array.fold_left (fun acc b -> merge_sup ~ceiling acc !b) !(bests.(0))
+      (Array.sub bests 1 (jobs - 1))
+  in
+  (* max-delay-first at jobs > 1: high monitor-clock suprema first, so
+     the running sup peaks early and subsumption prunes the low-delay
+     frontier instead of expanding it *)
+  let order st =
+    let b = Zone.Dbm.sup_clock st.st_zone ci in
+    if Zone.Bound.is_infinite b then max_int else Zone.Bound.constant b
+  in
+  let payload () = Marshal.to_string (merged ()) [] in
+  let r = search ~jobs ?expand ?ctl ~order ?resume ~label ~payload t visit in
+  { so_sup = merged ();
     so_stats = r.sr_stats;
     so_interrupt = r.sr_interrupt;
     so_snapshot = r.sr_snapshot }
@@ -1104,13 +1550,9 @@ let find_timelock ?ctl t =
   in
   (* Subsumption can hide a time-pinned sub-zone inside a wider live zone,
      so the timelock search deduplicates by zone equality only. *)
-  let r =
-    search ?ctl ~on_expanded ~subsume:false ~label:"timelock" t
-      (fun _ -> `Continue)
-  in
-  { r_trace = Option.map (describe_chain t) r.sr_chain;
-    r_stats = r.sr_stats;
-    r_interrupt = r.sr_interrupt }
+  reach_of t
+    (search ?ctl ~on_expanded ~subsume:false ~label:"timelock" t (fun _ _ ->
+         `Continue))
 
 (* --- timed witness traces ---------------------------------------------- *)
 
@@ -1139,9 +1581,8 @@ let pp_timed_step ppf step =
    the clock's interval at each firing gives the possible firing times of
    that step among runs following this chain.  [None] means the chain is
    infeasible — some guard or invariant empties the zone along the way.
-   Exposed separately from [timed_trace] so a witness chain found by a
-   different search (e.g. the parallel explorer) can be validated and
-   annotated. *)
+   Exposed separately from [timed_trace] so a witness chain found at
+   jobs > 1 can be validated and annotated. *)
 let replay t chain =
   let tclock = "psv_abs_time" in
   let comp = Compiled.compile ~extra_clocks:[ tclock ] t.comp.Compiled.c_model in
@@ -1206,7 +1647,7 @@ let replay t chain =
   if !feasible then Some (List.rev !steps) else None
 
 let timed_trace t pred =
-  let visit st = if pred st then `Stop else `Continue in
+  let visit _ st = if pred st then `Stop else `Continue in
   match (search ~label:"reachable" t visit).sr_chain with
   | None -> None
   | Some chain -> replay t chain
@@ -1231,7 +1672,7 @@ let coverage t =
           false)
   in
   let fired : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let visit st =
+  let visit _ st =
     Array.iteri (fun ai li -> seen_locs.(ai).(li) <- true) st.st_locs;
     `Continue
   in

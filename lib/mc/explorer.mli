@@ -43,17 +43,18 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** {1 Progress reporting}
 
     With [PSV_MC_PROGRESS] set in the environment (checked once, not per
-    state), the sequential search prints
+    state), a [jobs = 1] search prints
     [[mc] visited N stored N queue N] to stderr every 1000 visited
-    states.  Parallel searches ({!Parsearch}) stay silent. *)
+    states.  Searches at [jobs > 1] stay silent. *)
 
 (** {1 Snapshots}
 
     A snapshot freezes an interrupted search: the live passed/waiting
-    store (discrete state plus DBM rows), the waiting queue in FIFO
-    order, the trace side-table, the visited/stored counters and the
-    query's own accumulator.  Resuming continues to a byte-identical
-    verdict and statistics versus an uninterrupted run.
+    store (discrete state plus DBM rows), the waiting entries, the
+    trace rows of their ancestors, the visited/stored counters and the
+    query's own accumulator.  It has one format at every [jobs] and
+    resumes at any [jobs]; at [jobs = 1] resuming continues to a
+    byte-identical verdict and statistics versus an uninterrupted run.
 
     Snapshots are written with a magic header carrying a format version
     ([PSVSNAP2]); {!load_snapshot} rejects foreign files, and names the
@@ -69,6 +70,9 @@ type snapshot
 val save_snapshot : string -> snapshot -> unit
 
 val load_snapshot : string -> (snapshot, string) result
+
+(** Visited states of the interrupted run. *)
+val snapshot_visited : snapshot -> int
 
 (** [make ?monitor ?tight ?limit net] prepares an explorer.
 
@@ -118,7 +122,14 @@ val mon_in : t -> string -> state -> bool
 
     Each query accepts an optional [ctl] govern token
     ({!Runctl.create}); without one, only the explorer's state limit
-    applies. *)
+    applies.  [jobs] (default 1) is the number of exploration domains,
+    as in {!search}: verdicts and sups do not depend on it. *)
+
+(** [Domain.recommended_domain_count ()]: the number of workers this
+    host can run in parallel.  CLI layers clamp a user's [--jobs] to it;
+    library functions do {e not} clamp, so tests can exercise
+    multi-domain schedules on any host. *)
+val recommended_jobs : unit -> int
 
 (** A candidate discrete transition out of a state: the moving edges in
     update order plus the synchronising channel, precomputed by
@@ -138,8 +149,11 @@ type reach_result = {
 }
 
 (** [reachable t pred] is the UPPAAL query [E<> pred].  [expand]
-    overrides successor generation as in {!search}. *)
+    overrides successor generation as in {!search}.  At [jobs > 1] the
+    witness, when found, is a real zone-graph path but need not be the
+    one [jobs = 1] finds, and [pred] runs on several domains at once. *)
 val reachable :
+  ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> t -> (state -> bool) -> reach_result
 
@@ -147,15 +161,6 @@ type sup_result =
   | Sup_unreached          (** no reachable state satisfies the predicate *)
   | Sup of int * bool      (** supremum value; [true] means strict ([< v]) *)
   | Sup_exceeds of int     (** the supremum exceeds the clock's ceiling *)
-
-(** [fold_sup ~ceiling acc b] is the running sup [acc] after one more
-    state whose clock supremum is the DBM bound [b]: an infinite [b]
-    gives [Sup_exceeds ceiling], a larger value (or an equal non-strict
-    one) replaces [acc].  The one fold behind every sup search —
-    sequential, per parallel worker and the final merge of the
-    workers' sups.  Returns [acc] physically unchanged when the sup
-    does not move, so that path allocates nothing. *)
-val fold_sup : ceiling:int -> sup_result -> Zone.Bound.t -> sup_result
 
 (** The result of a governed sup-query.  On interruption [so_sup] is the
     sup over the states explored so far — a valid {e lower} bound on the
@@ -174,12 +179,18 @@ type sup_outcome = {
     (from the monitor declaration) bounds the values that are reported
     exactly.
 
+    At [jobs > 1] each worker folds a private running sup and the
+    workers' sups merge at the end ([Sup_exceeds] dominates; at equal
+    values a non-strict bound beats a strict one).
+
     [resume] continues a previous interrupted run of the {e same} query
-    on the {e same} model; the running sup is restored from the
-    snapshot, and the combined run reaches the same result, visited and
-    stored counts as an uninterrupted one.
+    on the {e same} model, written at any [jobs]; the running sup is
+    restored from the snapshot, and at [jobs = 1] the combined run
+    reaches the same result, visited and stored counts as an
+    uninterrupted one.
     @raise Invalid_argument when the snapshot does not match. *)
 val sup_clock :
+  ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> ?resume:snapshot ->
   t -> pred:(state -> bool) -> clock:string -> sup_outcome
@@ -229,8 +240,7 @@ val timed_trace : t -> (state -> bool) -> timed_step list option
     reduction — with an extra absolute-time clock, and annotates each
     step with its feasible firing-time interval.  [None] when the chain
     is infeasible (a guard or invariant empties the zone), so it doubles
-    as a feasibility check for witnesses found by other searches (e.g.
-    {!Parsearch}). *)
+    as a feasibility check for witnesses found at [jobs > 1]. *)
 val replay :
   t -> (int * Ta.Compiled.cedge) list list -> timed_step list option
 
@@ -251,25 +261,19 @@ val coverage : t -> coverage
 
 (** {1 Expansion engine}
 
-    The successor-generation primitives behind {!search}, exposed so the
-    domain-parallel explorer ({!Parsearch}) drives the {e same} firing
-    semantics through its own sharded store.  Library-internal in
-    spirit: prefer the query functions above. *)
+    The successor-generation primitives behind {!search}, exposed for
+    expansion overrides ([Incr.Delta]) and for independent explorers
+    that must fire transitions exactly as {!search} does (the
+    differential oracle's reference explorer).  Prefer the query
+    functions above. *)
 
 (** The initial symbolic state (delay-closed, invariant-constrained,
     extrapolated).  Its zone may be empty if the initial invariants are
     unsatisfiable. *)
 val initial_state : t -> state
 
-(** The explorer's visited-state limit (the [limit] given to {!make}). *)
-val state_limit : t -> int
-
-(** A fresh DBM scratch pool of the explorer's zone dimension.  Pools
-    are single-domain: a parallel search creates one per worker. *)
-val fresh_pool : t -> Zone.Dbm.Pool.t
-
 (** All discrete transition candidates enabled in (the discrete part of)
-    a state, in the deterministic enumeration order of the sequential
+    a state, in the deterministic enumeration order of the
     search.  Zone satisfiability is {e not} checked here — {!fire}
     does that. *)
 val candidates : t -> state -> candidate list
@@ -342,71 +346,10 @@ val candidate :
 
 val candidate_chan : candidate -> int option
 
-(** Human-readable description of each step of a witness chain. *)
-val describe_chain :
-  t -> (int * Ta.Compiled.cedge) list list -> string list
-
 (** The FNV-style hash of a discrete state (locations, variables,
-    monitor state) that keys the passed/waiting store.  Exposed so a
-    sharded store routes on the same hash it probes with, computing it
-    once per state. *)
+    monitor state) that keys the passed/waiting store and picks its
+    shard. *)
 val hash_discrete : int array -> int array -> int -> int
-
-(** {2 Snapshot plumbing}
-
-    The pieces a foreign passed/waiting store (the sharded one of
-    {!Parsearch}) needs to restore from and serialize to the same
-    PSVSNAP2 format as the sequential search, so a checkpoint taken at
-    any [--jobs] resumes at any other.  Library-internal in spirit. *)
-
-(** A stored state flattened for serialization: the raw discrete
-    vectors plus the zone's encoded bound matrix
-    ({!Zone.Dbm.to_ints}/{!Zone.Dbm.of_ints}). *)
-type snap_entry = {
-  se_id : int;
-  se_locs : int array;
-  se_vars : int array;
-  se_mon : int;
-  se_zone : int array;
-}
-
-(** [check_snapshot t ~label ~subsume snap] is the resume guard shared
-    by every store: fingerprint, query label, dedup mode and zone
-    dimension must all match.
-    @raise Invalid_argument when they do not (same messages as the
-    sequential resume path). *)
-val check_snapshot : t -> label:string -> subsume:bool -> snapshot -> unit
-
-val snapshot_next_id : snapshot -> int
-val snapshot_visited : snapshot -> int
-val snapshot_stored : snapshot -> int
-
-(** Every live passed/waiting state of the interrupted run. *)
-val snapshot_entries : snapshot -> snap_entry list
-
-(** Ids of the waiting (not yet expanded) entries, in the order the
-    producing store drained them. *)
-val snapshot_queue : snapshot -> int array
-
-(** Per id: parent id and the step's movers as
-    [(automaton, edge-index)] pairs; [(-1, [])] for roots and for ids
-    whose row the producing store no longer knew. *)
-val snapshot_trace : snapshot -> (int * (int * int) list) array
-
-(** The query's own accumulator (e.g. the marshalled running sup). *)
-val snapshot_payload : snapshot -> string
-
-(** [make_snapshot t ...] assembles a snapshot carrying [t]'s
-    fingerprint and zone dimension; the counters, store content and
-    payload come from the caller's store. *)
-val make_snapshot :
-  t -> label:string -> subsume:bool -> next_id:int -> visited:int ->
-  stored:int -> entries:snap_entry list -> queue:int array ->
-  trace:(int * (int * int) list) array -> payload:string -> snapshot
-
-(** DBM index and exact-reporting ceiling of a (typically monitor)
-    clock, as resolved by {!sup_clock}. *)
-val monitor_clock_info : t -> string -> int * int
 
 (** The result of a raw {!search}: the witness chain when the visit
     callback stopped the search, the final statistics, the interruption
@@ -418,31 +361,44 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-(** The generic sequential search loop: calls [visit] on every stored
-    state (including the initial one) and stops early when it returns
-    [`Stop].  [on_expanded] runs after a state's successors were
-    generated, with the count of non-empty successors; [on_transition]
-    on every fired candidate.  [subsume:false] deduplicates by zone
-    equality instead of inclusion.  [label] names the query kind (must
-    match on [resume]); [payload] saves the caller's accumulator into
-    the snapshot.  All higher-level queries — sequential and the
-    [jobs = 1] parallel path — go through here.
+(** The one passed/waiting loop behind every query.  Calls [visit w st]
+    on every stored state (including the initial one), where [w] in
+    [0, jobs) is the worker that stored it, and stops early when it
+    returns [`Stop].  [on_expanded] runs after a state's successors were
+    generated, with the count of non-empty successors; [on_transition] on
+    every fired candidate.  [subsume:false] deduplicates by zone equality
+    instead of inclusion.  [label] names the query kind (must match on
+    [resume]); [payload] saves the caller's accumulator into the
+    snapshot of an interrupted run.
 
-    [expand] overrides successor generation for one popped state: it
-    must return, in the enumeration order of {!candidates}, every
-    candidate that {!fire} would return a successor for, paired with
-    that successor ([None] pairs are permitted and skipped).  The loop
-    then runs the identical bookkeeping (visit order, subsumption,
-    counters, [`Stop] short-circuit) over the list, so a correct
-    override — e.g. the memoized replay of [Incr.Delta] — yields
-    byte-identical results and statistics to the inline path. *)
+    [jobs] (default 1) workers share one sharded store, one worker per
+    OCaml domain.  At [jobs = 1] the search is breadth-first and
+    deterministic: visited/stored counts, witness chains and snapshots
+    depend on nothing but the model.  At [jobs > 1] the callbacks run
+    concurrently on the workers' domains; [order] then scores each
+    successor and higher scores are explored first (it is ignored at
+    [jobs = 1]).  A raising callback does not escape: the search stops
+    with the interruption [Runctl.Crash].
+
+    [expand] (only at [jobs = 1]) overrides successor generation for one
+    popped state: it must return, in the enumeration order of
+    {!candidates}, every candidate that {!fire} would return a successor
+    for, paired with that successor ([None] pairs are permitted and
+    skipped).  The loop then runs the identical bookkeeping (visit order,
+    subsumption, counters, [`Stop] short-circuit) over the list, so a
+    correct override — e.g. the memoized replay of [Incr.Delta] — yields
+    byte-identical results and statistics to the inline path.
+    @raise Invalid_argument when [expand] is given with [jobs > 1], or
+    when [resume] does not match. *)
 val search :
+  ?jobs:int ->
   ?on_expanded:(state -> int -> [ `Stop | `Continue ]) ->
   ?on_transition:(candidate -> unit) ->
   ?subsume:bool ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t ->
+  ?order:(state -> int) ->
   ?resume:snapshot ->
   ?label:string ->
   ?payload:(unit -> string) ->
-  t -> (state -> [ `Stop | `Continue ]) -> search_result
+  t -> (int -> state -> [ `Stop | `Continue ]) -> search_result

@@ -247,7 +247,7 @@ let explorer ?limit net = function
     Explorer.make ?limit ~monitor net
 
 let delay_sup ?jobs ?expand ?ctl ?resume t =
-  Parsearch.sup_clock ?jobs ?expand ?ctl ?resume t
+  Explorer.sup_clock ?jobs ?expand ?ctl ?resume t
     ~pred:(Explorer.mon_in t "Waiting")
     ~clock:delay_monitor_clock
 
@@ -264,7 +264,7 @@ let bounded_verdict interrupt sup bound =
   | Some reason, _ -> Explorer.Unknown reason
 
 let run ?(jobs = 1) ?expand ?ctl t q =
-  let reach pred = Parsearch.reachable ~jobs ?expand ?ctl t pred in
+  let reach pred = Explorer.reachable ~jobs ?expand ?ctl t pred in
   let res_outcome, res_stats =
     match q with
     | Exists_eventually p ->

@@ -82,12 +82,11 @@ val explorer : ?limit:int -> Ta.Model.network -> t -> Explorer.t
 
 (** [run t q] evaluates [q] on [t] (built by {!explorer} for the same
     query) under the optional [ctl] govern token.  [jobs] (default 1)
-    selects the number of exploration domains; with [jobs > 1] the
-    search goes through {!Parsearch} — same outcome, order-dependent
-    statistics (see {!Parsearch}).  [expand] replaces successor
-    generation of the sequential search ({!Explorer.search}), e.g. with
-    the recording or replaying expansion of [Incr.Delta]; it is honoured
-    on the sequential path only.
+    selects the number of exploration domains ({!Explorer.search}):
+    same outcome at any [jobs], order-dependent statistics at
+    [jobs > 1].  [expand] replaces successor generation of the search,
+    e.g. with the recording or replaying expansion of [Incr.Delta]; it
+    is honoured at [jobs = 1] only.
     @raise Invalid_argument when [expand] is given with [jobs > 1];
     [Not_found] if the query names an unknown process, location or
     variable. *)
@@ -103,7 +102,7 @@ val eval :
 
 (** [delay_sup t] is the sup search of the timed queries on an explorer
     built by {!explorer}: the supremum of {!delay_monitor_clock} over
-    the monitor's [Waiting] states, through {!Parsearch.sup_clock}
+    the monitor's [Waiting] states, through {!Explorer.sup_clock}
     ([resume] continues an interrupted run from its snapshot).  Exposed
     for callers that need the snapshot ({!run} drops it). *)
 val delay_sup :

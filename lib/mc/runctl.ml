@@ -13,8 +13,8 @@ type budget = {
 
 let no_budget = { b_time_s = None; b_states = None; b_mem_bytes = None }
 
-(* Both mutable fields are [Atomic.t] because one token is shared by
-   every domain of a parallel search (Parsearch).  A plain mutable bool
+(* The cancel flag is an [Atomic.t] because one token is shared by
+   every worker domain of a search at jobs > 1.  A plain mutable bool
    written by the cancelling domain (or a signal handler) carries no
    inter-domain publication guarantee under the OCaml 5 memory model: a
    worker could spin on a stale cached value forever.  [Atomic.get/set]
@@ -24,24 +24,16 @@ type t = {
   budget : budget;
   started : float;
   is_cancelled : bool Atomic.t;
-  ticks : int Atomic.t;  (* calls to [check] since the last expensive poll *)
 }
 
 let create ?(budget = no_budget) () =
-  { budget;
-    started = Unix.gettimeofday ();
-    is_cancelled = Atomic.make false;
-    ticks = Atomic.make 0 }
+  { budget; started = Unix.gettimeofday (); is_cancelled = Atomic.make false }
 
 let budget t = t.budget
 
 let cancel t = Atomic.set t.is_cancelled true
 
 let cancelled t = Atomic.get t.is_cancelled
-
-(* Sampling interval for the expensive checks (clock, heap).  Power of
-   two so the modulo is a mask. *)
-let sample_mask = 255
 
 let word_bytes = Sys.word_size / 8
 
@@ -67,31 +59,16 @@ let over_states t ~visited =
   | Some n when visited >= n -> Some (State_budget n)
   | Some _ | None -> None
 
-let check t ~visited =
+(* Sampling interval for the expensive checks, in ticks of the caller's
+   own counter.  Power of two so the modulo is a mask. *)
+let sample_mask = 63
+
+let check t ~visited ~tick =
   if Atomic.get t.is_cancelled then Some Cancelled
   else begin
     match over_states t ~visited with
     | Some _ as r -> r
-    | None ->
-      (* [ticks = 0] on the first call, so a run that is already over
-         budget stops before expanding anything.  Under a parallel
-         search the counter is shared: the sampling interval is global
-         across workers, not per worker, keeping the clock/heap poll
-         rate independent of the worker count. *)
-      let sample = Atomic.fetch_and_add t.ticks 1 land sample_mask = 0 in
-      if not sample then None else slow_poll t
-  end
-
-(* Sampling interval for [check_striped].  Tighter than [sample_mask]
-   because each worker ticks at roughly 1/jobs the fleet's rate. *)
-let striped_mask = 63
-
-let check_striped t ~visited ~tick =
-  if Atomic.get t.is_cancelled then Some Cancelled
-  else begin
-    match over_states t ~visited with
-    | Some _ as r -> r
-    | None -> if tick land striped_mask <> 0 then None else slow_poll t
+    | None -> if tick land sample_mask <> 0 then None else slow_poll t
   end
 
 let install_sigint t =

@@ -7,24 +7,21 @@
     statistics — and a resumable snapshot — survive the interruption.
 
     Budgets are deliberately approximate: wall-clock and live-memory are
-    sampled every few hundred expansions (a [gettimeofday] or
+    sampled every 64 expansions per worker (a [gettimeofday] or
     [Gc.quick_stat] per state would dominate small models), so a run may
     overshoot a budget by one sampling interval.  The visited-state
     budget is exact.
 
     {b Domain-safety.}  One token may be shared by every worker of a
-    parallel search ({!Parsearch}) and by a SIGINT handler, so the
-    mutable state ([cancelled], the sampling tick counter) lives in
-    [Atomic.t] cells.  The OCaml 5 memory model gives plain mutable
-    fields no publication guarantee between domains — a worker polling a
-    plain [mutable bool] written by another domain may read a stale
-    value indefinitely, making cancellation unsound.  [Atomic] operations
-    are sequentially consistent: once {!cancel} returns, every later
-    {!check} on any domain observes it.  The tick counter uses
-    [fetch_and_add], so the expensive clock/heap sampling interval is
-    global across workers rather than multiplied by the worker count.
-    [check] itself never blocks and takes no locks, so workers can poll
-    it on their hot path. *)
+    search at [jobs > 1] and by a SIGINT handler, so the cancel flag
+    lives in an [Atomic.t] cell.  The OCaml 5 memory model gives plain
+    mutable fields no publication guarantee between domains — a worker
+    polling a plain [mutable bool] written by another domain may read a
+    stale value indefinitely, making cancellation unsound.  [Atomic]
+    operations are sequentially consistent: once {!cancel} returns,
+    every later {!check} on any domain observes it.  [check] itself
+    never blocks, takes no locks and writes nothing shared, so workers
+    can poll it on their hot path. *)
 
 (** Why a search stopped short of a definitive answer. *)
 type reason =
@@ -58,20 +55,13 @@ val cancel : t -> unit
 
 val cancelled : t -> bool
 
-(** [check t ~visited] polls the token: [Some reason] when the run must
-    stop.  Cheap (a few comparisons) except every 256th call, which
-    samples the clock and the heap.  The first call always samples. *)
-val check : t -> visited:int -> reason option
-
-(** [check_striped t ~visited ~tick] is {!check} with the clock/heap
-    sampling driven by a caller-supplied tick counter instead of the
-    shared one: a parallel worker passes its worker-local expansion
-    count, so the hot path costs one atomic read (the cancel flag) and
-    no read-modify-write on a cache line shared by every worker.  The
-    sampling mask is tighter (every 64th tick) since each worker ticks
-    at roughly 1/jobs the fleet's rate; [tick = 0] samples, so a run
-    already over budget stops before its first expansion. *)
-val check_striped : t -> visited:int -> tick:int -> reason option
+(** [check t ~visited ~tick] polls the token: [Some reason] when the
+    run must stop.  [tick] is the caller's own poll counter (a worker's
+    expansion count): the check is a few comparisons except when
+    [tick] is a multiple of 64, which samples the clock and the heap, so
+    a run already over budget stops at [tick = 0], before its first
+    expansion. *)
+val check : t -> visited:int -> tick:int -> reason option
 
 (** Install a SIGINT handler that cancels [t].  A second SIGINT restores
     the default behavior (terminate), so a wedged run can still be

@@ -110,6 +110,27 @@ let test_mutation_caught () =
   Alcotest.(check bool) "a Jobs discrepancy among them" true
     (List.exists (fun d -> d.O.d_check = O.Jobs) v.O.v_discrepancies)
 
+(* The injected skew ([psv fuzz --inject-sup-skew]) moves only the jobs-1
+   answer, so both independent answerers report it: the jobs pair, and
+   the naive reference explorer, which shares no search code with the
+   engine — on every shape. *)
+let test_mutation_caught_by_reference () =
+  let cfg =
+    { O.default with O.mutation = Some (O.Sup_skew 3); scenarios = 0 }
+  in
+  List.iter
+    (fun shape ->
+      let v = O.run cfg (G.instance ~seed:42 ~index:1 shape) in
+      List.iter
+        (fun check ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: a %s discrepancy" v.O.v_id
+               (O.check_name check))
+            true
+            (List.exists (fun d -> d.O.d_check = check) v.O.v_discrepancies))
+        [ O.Jobs; O.Reference ])
+    G.all_shapes
+
 let test_check_names () =
   List.iter
     (fun c ->
@@ -117,8 +138,8 @@ let test_check_names () =
         (Printf.sprintf "check round-trip %s" (O.check_name c))
         true
         (O.check_of_name (O.check_name c) = Some c))
-    [ O.Truth; O.Analytic; O.Jobs; O.Bounded; O.Xta; O.Store_trip;
-      O.Delta_replay; O.Sim ]
+    [ O.Truth; O.Analytic; O.Jobs; O.Reference; O.Bounded; O.Xta;
+      O.Store_trip; O.Delta_replay; O.Sim ]
 
 (* --- shrinking ------------------------------------------------------- *)
 
@@ -225,6 +246,8 @@ let suite =
     Alcotest.test_case "truth vs explorer" `Quick test_truth_vs_explorer;
     Alcotest.test_case "oracle clean sweep" `Quick test_oracle_clean_sweep;
     Alcotest.test_case "mutation caught as Jobs" `Quick test_mutation_caught;
+    Alcotest.test_case "mutation caught as Reference" `Quick
+      test_mutation_caught_by_reference;
     Alcotest.test_case "check names" `Quick test_check_names;
     Alcotest.test_case "shrink reproduces + reduces" `Quick
       test_shrink_reproduces_and_reduces;

@@ -1,8 +1,8 @@
-(* Determinism of the domain-parallel explorer: for every worker count,
-   verdicts and sup values must match the sequential search exactly —
-   on completed runs, under injected cancellation, and under budget
-   interrupts (where the partial sup must stay a sound lower bound).
-   jobs = 1 must be byte-identical to the sequential explorer. *)
+(* Determinism of the search across worker counts: for every [jobs],
+   verdicts and sup values must match jobs = 1 exactly — on completed
+   runs, under injected cancellation, and under budget interrupts (where
+   the partial sup must stay a sound lower bound).  jobs = 1 itself is
+   pinned by golden visited/stored counts. *)
 
 open Ta
 
@@ -115,27 +115,51 @@ let test_sup_determinism () =
         jobs_list)
     (sup_cases ())
 
-(* jobs = 1 must take the sequential code path wholesale: same sup, and
-   the same order-dependent statistics. *)
-let test_jobs1_byte_identical () =
-  let net = Test_runctl.railroad_psm () in
-  let monitor =
-    Mc.Monitor.delay ~trigger:"m_Train" ~response:"c_GateDown"
-      ~clock:"psv_delay_mon" ~ceiling:320 ()
+(* jobs = 1 is breadth-first and deterministic: its visited/stored
+   counts are fixed by the model alone, and the recorded bench numbers,
+   store entries and delta-session graphs depend on them.  These are the
+   counts of the two-engine explorer this one replaced, on the Table-I
+   queries, the railroad PSM, and the timelock (equality dedup,
+   [on_expanded]) and coverage ([on_transition]) searches. *)
+let test_jobs1_golden_counters () =
+  let check name (st : Mc.Explorer.stats) (visited, stored) =
+    Alcotest.(check (pair int int))
+      (name ^ ": visited/stored")
+      (visited, stored)
+      (st.Mc.Explorer.visited, st.Mc.Explorer.stored)
   in
-  let t = Mc.Explorer.make ~monitor net in
-  let pred = Mc.Explorer.mon_in t "Waiting" in
-  let seq = Mc.Explorer.sup_clock t ~pred ~clock:"psv_delay_mon" in
-  let par = Mc.Parsearch.sup_clock ~jobs:1 t ~pred ~clock:"psv_delay_mon" in
-  Alcotest.(check bool) "same sup" true
-    (par.Mc.Explorer.so_sup = seq.Mc.Explorer.so_sup);
-  Alcotest.(check int) "same visited" seq.Mc.Explorer.so_stats.Mc.Explorer.visited
-    par.Mc.Explorer.so_stats.Mc.Explorer.visited;
-  Alcotest.(check int) "same stored" seq.Mc.Explorer.so_stats.Mc.Explorer.stored
-    par.Mc.Explorer.so_stats.Mc.Explorer.stored;
-  Alcotest.(check int) "same frontier"
-    seq.Mc.Explorer.so_stats.Mc.Explorer.frontier
-    par.Mc.Explorer.so_stats.Mc.Explorer.frontier
+  let ceiling =
+    2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
+  in
+  let m = Gpca.Model.bolus_req and c = Gpca.Model.start_infusion in
+  List.iter
+    (fun (name, trigger, response, sup, counts) ->
+      let r =
+        Mc.Query.eval ~jobs:1 (Lazy.force gpca_psm)
+          (Mc.Query.Sup_delay { trigger; response; ceiling })
+      in
+      Alcotest.(check bool) (name ^ ": Table I bound") true
+        (r.Mc.Query.res_outcome = Mc.Query.Sup (Mc.Explorer.Sup (sup, false)));
+      check name r.Mc.Query.res_stats counts)
+    [ ("table1-input", m, Transform.Names.input_chan m, 490, (8638, 8882));
+      ("table1-output", Transform.Names.output_chan c, c, 440, (8318, 8550));
+      ("table1-mc", m, c, 1430, (21024, 22166)) ];
+  let net = Test_runctl.railroad_psm () in
+  let r =
+    Analysis.Queries.max_delay net ~trigger:"m_Train" ~response:"c_GateDown"
+      ~ceiling:320
+  in
+  check "railroad-psm-periodic25" r.Analysis.Queries.dr_stats (2205, 2210);
+  let t = Mc.Explorer.make net in
+  let tl = Mc.Explorer.find_timelock t in
+  Alcotest.(check bool) "timelock found" true (tl.Mc.Explorer.r_trace <> None);
+  check "timelock" tl.Mc.Explorer.r_stats (118, 126);
+  Alcotest.(check int) "timelock frontier" 8
+    tl.Mc.Explorer.r_stats.Mc.Explorer.frontier;
+  let cov = Mc.Explorer.coverage t in
+  Alcotest.(check int) "coverage: unfired edges" 6
+    (List.length cov.Mc.Explorer.cov_unfired_edges);
+  check "coverage" cov.Mc.Explorer.cov_stats (2173, 2178)
 
 let test_verdict_determinism () =
   let check_verdicts name net ~bound expected =
@@ -237,14 +261,18 @@ let test_budget_partial_sup () =
           pp_sup r.Analysis.Queries.dr_sup pp_sup full.Analysis.Queries.dr_sup)
     jobs_list
 
-(* Witness chains found in parallel must replay: the sequential replay
-   of the chain re-checks feasibility edge by edge. *)
+(* Witness chains found at any jobs must replay: the exact replay of
+   the chain re-checks feasibility edge by edge. *)
 let test_timed_witness_feasible () =
   let t = Mc.Explorer.make (gpca_pim ()) in
   let pred = Mc.Explorer.at t ~aut:"Pump" ~loc:"Infusing" in
   List.iter
     (fun jobs ->
-      match Mc.Parsearch.timed_witness ~jobs t pred with
+      let r =
+        Mc.Explorer.search ~jobs t (fun _ st ->
+            if pred st then `Stop else `Continue)
+      in
+      match Option.bind r.Mc.Explorer.sr_chain (Mc.Explorer.replay t) with
       | Some steps ->
         Alcotest.(check bool)
           (Printf.sprintf "jobs=%d: non-empty witness" jobs)
@@ -452,7 +480,7 @@ let test_crash_supervised () =
   List.iter
     (fun jobs ->
       match
-        Mc.Parsearch.reachable ~jobs t (fun _ -> failwith "poisoned predicate")
+        Mc.Explorer.reachable ~jobs t (fun _ -> failwith "poisoned predicate")
       with
       | r -> expect_crash ~jobs ~needle:"poisoned predicate" r
       | exception exn ->
@@ -474,7 +502,7 @@ let test_midsearch_crash_quiesces () =
         else false
       in
       let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
-      match Mc.Parsearch.reachable ~jobs t pred with
+      match Mc.Explorer.reachable ~jobs t pred with
       | r -> expect_crash ~jobs ~needle:"mid-search crash" r
       | exception exn ->
         Alcotest.failf "jobs=%d: crash escaped supervision: %s" jobs
@@ -548,8 +576,8 @@ let prop_random_scheme =
 let suite =
   [ Alcotest.test_case "sup determinism across jobs" `Quick
       test_sup_determinism;
-    Alcotest.test_case "jobs=1 byte-identical to sequential" `Quick
-      test_jobs1_byte_identical;
+    Alcotest.test_case "jobs=1 golden counters" `Quick
+      test_jobs1_golden_counters;
     Alcotest.test_case "verdict determinism across jobs" `Quick
       test_verdict_determinism;
     Alcotest.test_case "query eval across jobs" `Quick test_query_eval_jobs;
